@@ -28,7 +28,6 @@ from .operators import (
     haar_dwt_2d,
     haar_idwt_2d,
     partial_dct_matrix,
-    partial_dft2_operator,
     probe_rows_orthonormal,
 )
 from .recon import (
@@ -93,4 +92,21 @@ from .experiments import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "InputError", "SizeGuardError", "ComposedOperator", "DenseOperator",
+    "GramFactor", "HaarBasis", "IdentityOperator", "PartialDctOperator",
+    "PartialDft2Operator", "SensingOperator", "dct_matrix", "haar_dwt_2d",
+    "haar_idwt_2d", "partial_dct_matrix", "probe_rows_orthonormal",
+    "ParamEstimate", "ReconstructionResult", "StoppingRule", "ecme_run",
+    "ecme_step", "empirical_bayes_estimate", "hard_threshold", "iht_run",
+    "minimum_norm_estimate", "sigma2_hat", "support", "weighted_error",
+    "DoreState", "OverrelaxationWeights", "dore_alpha1", "dore_alpha2",
+    "dore_run", "dore_step", "AdoreResult", "UssEvaluation", "UssScorer",
+    "adore_run", "exact_ml_bruteforce", "golden_section_r_search",
+    "uss_objective", "FixedPointReport", "MatrixCertificate", "RecoveryFlags",
+    "SparsityMeasures", "certify", "coherence", "min_ssq", "min_ssq_sampled",
+    "ric", "ric_sampled", "spark", "ssq", "urp", "verify_fixed_point",
+    "BenchConfig", "ExperimentReport", "ProblemInstance", "benchmark_sweep",
+    "parse_bench_config", "phantom", "phantom_problem", "psnr", "radial_mask",
+    "random_instance",
+]

@@ -21,21 +21,23 @@ from .dataio import (
     save_json,
     save_vector_csv,
 )
-from .dore import dore_run
 from .errors import InputError, SizeGuardError
 from .experiments import (
     CSV_HEADER,
-    BenchConfig,
+    KNOWN_METHODS,
     benchmark_sweep,
     parse_bench_config,
     phantom_problem,
     psnr,
     report_csv_row,
+    run_method,
 )
 from .matrix_analysis import certify, min_ssq_sampled, ric_sampled
-from .model_selection import adore_run
 from .operators import DenseOperator, HaarBasis
-from .recon import StoppingRule, ecme_run, iht_run, minimum_norm_estimate
+from .recon import StoppingRule
+
+# every registered method except the minimum-norm baseline is a subcommand
+_SOLVER_COMMANDS = tuple(name for name in KNOWN_METHODS if name != "mn")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -46,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name in ("ecme", "iht", "dore", "adore"):
+    for name in _SOLVER_COMMANDS:
         cmd = sub.add_parser(name, help=f"run the {name} solver")
         cmd.add_argument("--matrix", required=True, help="sensing matrix CSV")
         cmd.add_argument("--y", required=True, help="measurement vector CSV")
@@ -75,8 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd = sub.add_parser("phantom", help="desk-scale tomographic reconstruction")
     cmd.add_argument("--side", type=int, default=64)
     cmd.add_argument("--lines", type=int, default=22)
-    cmd.add_argument("--method", choices=("ecme", "iht", "dore", "adore", "mn"),
-                     default="dore")
+    cmd.add_argument("--method", choices=KNOWN_METHODS, default="dore")
     cmd.add_argument("--r", type=int, default=None,
                      help="sparsity level (default: true support size)")
     cmd.add_argument("--tol", type=float, default=1e-14)
@@ -96,22 +97,20 @@ def _cmd_solver(args) -> int:
     op = DenseOperator(load_matrix_csv(args.matrix))
     y = load_vector_csv(args.y)
     stop = StoppingRule(tol=args.tol, max_iter=args.max_iter)
+    # adore has --resolution and no --r; the other solvers the reverse
+    run = run_method(args.command, op, y, getattr(args, "r", None), stop,
+                     getattr(args, "resolution", 1))
     if args.command == "adore":
-        auto = adore_run(op, y, resolution=args.resolution, stop=stop)
-        payload = auto.to_json_dict()
-        result = auto.final
+        auto = run.result
         print(f"adore: selected r={auto.r_selected} after {auto.dore_runs} "
-              f"solver runs; final sigma2={result.estimate.sigma2:.6g}")
+              f"solver runs; final sigma2={auto.final.estimate.sigma2:.6g}")
     else:
-        runner = {"ecme": ecme_run, "iht": iht_run, "dore": dore_run}[args.command]
-        result = runner(op, y, args.r, stop=stop)
-        payload = result.to_json_dict()
-        print(f"{args.command}: iterations={result.iterations} "
-              f"converged={result.converged} sigma2={result.estimate.sigma2:.6g}")
+        print(f"{args.command}: iterations={run.iterations} "
+              f"converged={run.converged} sigma2={run.result.estimate.sigma2:.6g}")
     if args.out:
-        save_json(args.out, payload)
+        save_json(args.out, run.result.to_json_dict())
     if args.out_signal:
-        save_vector_csv(args.out_signal, result.estimate.s)
+        save_vector_csv(args.out_signal, run.estimate)
     return 0
 
 
@@ -166,35 +165,23 @@ def _cmd_phantom(args) -> int:
     stop = StoppingRule(tol=args.tol, max_iter=args.max_iter)
     basis = HaarBasis(args.side)
     reference = basis.synthesize(problem.truth)
-    op, y = problem.operator, problem.y
-    if args.method == "mn":
-        estimate = minimum_norm_estimate(op, y)
-        iterations, converged, r_used = 0, True, 0
-    elif args.method == "adore":
-        auto = adore_run(op, y, resolution=args.resolution, stop=stop)
-        estimate = auto.final.estimate.s
-        iterations, converged, r_used = (
-            auto.final.iterations, auto.final.converged, auto.r_selected)
-    else:
-        runner = {"ecme": ecme_run, "iht": iht_run, "dore": dore_run}[args.method]
-        result = runner(op, y, r, stop=stop)
-        estimate = result.estimate.s
-        iterations, converged, r_used = result.iterations, result.converged, r
-    value = psnr(reference, basis.synthesize(estimate))
+    op = problem.operator
+    run = run_method(args.method, op, problem.y, r, stop, args.resolution)
+    value = psnr(reference, basis.synthesize(run.estimate))
     n_over_m = op.n_rows / op.n_cols
     print(f"phantom side={args.side} lines={args.lines} N/m={n_over_m:.3f} "
-          f"method={args.method} r={r_used}: psnr={value:.2f} dB, "
-          f"iterations={iterations}, converged={converged}")
+          f"method={args.method} r={run.r_used}: psnr={value:.2f} dB, "
+          f"iterations={run.iterations}, converged={run.converged}")
     if args.out:
         save_json(args.out, {
             "side": args.side,
             "lines": args.lines,
             "n_over_m": n_over_m,
             "method": args.method,
-            "r_used": r_used,
+            "r_used": run.r_used,
             "psnr_db": value,
-            "iterations": iterations,
-            "converged": converged,
+            "iterations": run.iterations,
+            "converged": run.converged,
         })
     return 0
 
@@ -220,7 +207,6 @@ def _cmd_bench(args) -> int:
                 "tol": config.tol,
                 "max_iter": config.max_iter,
                 "adore_resolution": config.adore_resolution,
-                "seed": config.seed,
             },
             "reports": [rep.to_json_dict() for rep in reports],
         })
@@ -229,11 +215,8 @@ def _cmd_bench(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handlers = {
-        "ecme": _cmd_solver, "iht": _cmd_solver, "dore": _cmd_solver,
-        "adore": _cmd_solver, "analyze": _cmd_analyze,
-        "phantom": _cmd_phantom, "bench": _cmd_bench,
-    }
+    handlers = dict.fromkeys(_SOLVER_COMMANDS, _cmd_solver)
+    handlers.update(analyze=_cmd_analyze, phantom=_cmd_phantom, bench=_cmd_bench)
     try:
         return handlers[args.command](args)
     except SizeGuardError as exc:

@@ -7,6 +7,9 @@ two candidates has the smaller variance estimate.  The decision step means
 the accepted variance never exceeds the plain step's, so the objective
 trace stays nonincreasing while convergence speeds up considerably.
 
+``dore_step`` is the only code here that iterates: ``dore_run`` hands it
+to the driver in ``recon``, which seeds the state with two plain steps
+and owns validation, the trace, the stopping test and the branch record.
 All measurement-space images H s and (H H^T)^{-1} H s are carried in
 ``DoreState`` and updated by linear combination, so one outer iteration
 costs 2 operator applies, 2 gram solves and 1 adjoint apply on top of two
@@ -16,20 +19,20 @@ vector sorts -- slightly under twice the cost of a plain step.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InputError
 from .operators import SensingOperator
 from .recon import (
+    DoreState,
     ParamEstimate,
     ReconstructionResult,
     StoppingRule,
-    _initial_signal,
+    _drive,
+    _quadratic_sigma2,
+    cached_ecme_step,
     hard_threshold,
-    sigma2_hat,
 )
 
 
@@ -41,42 +44,7 @@ class OverrelaxationWeights:
     alpha2: float
 
 
-@dataclass(frozen=True)
-class DoreState:
-    """Two consecutive parameter estimates plus their cached images.
-
-    ``h_*`` holds H s and ``g_*`` holds (H H^T)^{-1} H s for the previous
-    and current signals; ``g_y`` caches (H H^T)^{-1} y for the whole run.
-    ``branch`` records which candidate the last decision step accepted.
-    """
-
-    theta_prev: ParamEstimate
-    theta_curr: ParamEstimate
-    h_prev: np.ndarray
-    g_prev: np.ndarray
-    h_curr: np.ndarray
-    g_curr: np.ndarray
-    g_y: np.ndarray
-    branch: str | None = None
-
-    def verify_cache(self, op: SensingOperator, y, rtol: float = 1e-10) -> bool:
-        """Debug check: cached images consistent with the stored signals."""
-        y = np.asarray(y, dtype=float)
-        pairs = [
-            (self.h_prev, op.apply(self.theta_prev.s)),
-            (self.g_prev, op.gram_solve(op.apply(self.theta_prev.s))),
-            (self.h_curr, op.apply(self.theta_curr.s)),
-            (self.g_curr, op.gram_solve(op.apply(self.theta_curr.s))),
-            (self.g_y, op.gram_solve(y)),
-        ]
-        for cached, fresh in pairs:
-            scale = max(1.0, float(np.max(np.abs(fresh))))
-            if np.max(np.abs(cached - fresh)) > rtol * scale:
-                return False
-        return True
-
-
-def _line_search_weight(h_to, g_to, h_from, g_from, y, g_y) -> float:
+def _line_search_weight(h_to, g_to, h_from, g_from, g_y) -> float:
     direction = h_to - h_from
     numerator = float(direction @ (g_y - g_to))
     denominator = float(direction @ (g_to - g_from))
@@ -86,26 +54,20 @@ def _line_search_weight(h_to, g_to, h_from, g_from, y, g_y) -> float:
     return weight if math.isfinite(weight) else 0.0
 
 
-def dore_alpha1(h_hat, g_hat, h_curr, g_curr, y, g_y) -> float:
+def dore_alpha1(h_hat, g_hat, h_curr, g_curr, g_y) -> float:
     """First overrelaxation weight from cached measurement-space images.
 
     Arguments are H s_hat, (H H^T)^{-1} H s_hat, the same pair for the
-    current iterate, then y and (H H^T)^{-1} y.  No operator products are
+    current iterate, then (H H^T)^{-1} y.  No operator products are
     needed.  A zero (or nonpositive, after rounding) denominator returns 0,
     reducing the overrelaxation to a no-op.
     """
-    return _line_search_weight(h_hat, g_hat, h_curr, g_curr, y, g_y)
+    return _line_search_weight(h_hat, g_hat, h_curr, g_curr, g_y)
 
 
-def dore_alpha2(h_bar, g_bar, h_prev, g_prev, y, g_y) -> float:
+def dore_alpha2(h_bar, g_bar, h_prev, g_prev, g_y) -> float:
     """Second overrelaxation weight; same quotient against the older iterate."""
-    return _line_search_weight(h_bar, g_bar, h_prev, g_prev, y, g_y)
-
-
-def _quadratic_sigma2(y, h_s, g_y, g_s, n_rows: int) -> float:
-    """(y - Hs)^T (H H^T)^{-1} (y - Hs) / N from cached images."""
-    value = float((y - h_s) @ (g_y - g_s)) / n_rows
-    return max(value, 0.0)
+    return _line_search_weight(h_bar, g_bar, h_prev, g_prev, g_y)
 
 
 def dore_step(op: SensingOperator, y, state: DoreState, r: int
@@ -117,25 +79,18 @@ def dore_step(op: SensingOperator, y, state: DoreState, r: int
     uses strict inequality: ties keep the plain candidate.
     """
     y = np.asarray(y, dtype=float)
-    s_curr = state.theta_curr.s
-    s_prev = state.theta_prev.s
-
-    # plain refinement step from cached images (one adjoint apply)
-    z = s_curr + op.apply_adjoint(state.g_y - state.g_curr)
-    s_hat = hard_threshold(z, r)
-    h_hat = op.apply(s_hat)
-    g_hat = op.gram_solve(h_hat)
-    sigma2_hat_val = _quadratic_sigma2(y, h_hat, state.g_y, g_hat, op.n_rows)
+    plain = cached_ecme_step(op, y, state, r)
+    s_hat, h_hat, g_hat = plain.theta_curr.s, plain.h_curr, plain.g_curr
 
     # first overrelaxation, toward s_hat away from the current iterate
-    alpha1 = dore_alpha1(h_hat, g_hat, state.h_curr, state.g_curr, y, state.g_y)
-    z_bar = s_hat + alpha1 * (s_hat - s_curr)
+    alpha1 = dore_alpha1(h_hat, g_hat, state.h_curr, state.g_curr, state.g_y)
+    z_bar = s_hat + alpha1 * (s_hat - state.theta_curr.s)
     h_bar = h_hat + alpha1 * (h_hat - state.h_curr)
     g_bar = g_hat + alpha1 * (g_hat - state.g_curr)
 
     # second overrelaxation against the older iterate
-    alpha2 = dore_alpha2(h_bar, g_bar, state.h_prev, state.g_prev, y, state.g_y)
-    z_tilde = z_bar + alpha2 * (z_bar - s_prev)
+    alpha2 = dore_alpha2(h_bar, g_bar, state.h_prev, state.g_prev, state.g_y)
+    z_tilde = z_bar + alpha2 * (z_bar - state.theta_prev.s)
 
     # threshold the extrapolated point and evaluate it
     s_tilde = hard_threshold(z_tilde, r)
@@ -143,104 +98,19 @@ def dore_step(op: SensingOperator, y, state: DoreState, r: int
     g_tilde = op.gram_solve(h_tilde)
     sigma2_tilde = _quadratic_sigma2(y, h_tilde, state.g_y, g_tilde, op.n_rows)
 
-    if sigma2_tilde < sigma2_hat_val:
-        theta_next = ParamEstimate(s_tilde, sigma2_tilde, r)
-        h_next, g_next, branch = h_tilde, g_tilde, "overrelaxed"
+    if sigma2_tilde < plain.theta_curr.sigma2:
+        next_state = state.advance(ParamEstimate(s_tilde, sigma2_tilde, r),
+                                   h_tilde, g_tilde, "overrelaxed")
     else:
-        theta_next = ParamEstimate(s_hat, sigma2_hat_val, r)
-        h_next, g_next, branch = h_hat, g_hat, "ecme"
-
-    next_state = DoreState(
-        theta_prev=state.theta_curr,
-        theta_curr=theta_next,
-        h_prev=state.h_curr,
-        g_prev=state.g_curr,
-        h_curr=h_next,
-        g_curr=g_next,
-        g_y=state.g_y,
-        branch=branch,
-    )
+        next_state = replace(plain, branch="ecme")
     return next_state, OverrelaxationWeights(alpha1, alpha2)
 
 
-def _cached_ecme_step(op, y, s, g_y, g_s, r):
-    """Refinement step reusing cached gram images; returns the new quadruple."""
-    z = s + op.apply_adjoint(g_y - g_s)
-    s_next = hard_threshold(z, r)
-    h_next = op.apply(s_next)
-    g_next = op.gram_solve(h_next)
-    sigma2 = _quadratic_sigma2(y, h_next, g_y, g_next, op.n_rows)
-    return s_next, h_next, g_next, sigma2
-
-
 def dore_run(op: SensingOperator, y, r: int, s0=None,
-             stop: StoppingRule | None = None,
-             verify_state: bool = False) -> ReconstructionResult:
+             stop: StoppingRule | None = None) -> ReconstructionResult:
     """Accelerated run: two plain refinement steps to seed the state, then
     overrelaxed iterations until consecutive signal estimates agree.
 
-    ``verify_state`` re-derives every cached image each iteration and raises
-    if any drifts; meant for debugging, not production runs.
+    Non-finite y or s0 raise :class:`InputError`.
     """
-    stop = stop or StoppingRule()
-    y = np.asarray(y, dtype=float)
-    if y.shape != (op.n_rows,):
-        raise InputError(f"y must have length {op.n_rows}, got shape {y.shape}")
-    if not 0 <= r <= op.n_cols:
-        raise InputError(f"sparsity level r={r} outside [0, {op.n_cols}]")
-    start = time.perf_counter()
-
-    s_init = _initial_signal(op, r, s0)
-    theta0 = ParamEstimate(s_init, sigma2_hat(op, y, s_init), r)
-    trace = [op.n_rows * theta0.sigma2]
-    branches: list[str] = []
-
-    g_y = op.gram_solve(y)
-    h0 = op.apply(s_init)
-    g0 = op.gram_solve(h0)
-
-    def finish(theta, iterations, converged):
-        return ReconstructionResult(
-            estimate=theta,
-            trace=trace,
-            iterations=iterations,
-            converged=converged,
-            elapsed_seconds=time.perf_counter() - start,
-            branches=branches,
-        )
-
-    # seed with two plain steps
-    s1, h1, g1, sig1 = _cached_ecme_step(op, y, s_init, g_y, g0, r)
-    theta1 = ParamEstimate(s1, sig1, r)
-    trace.append(op.n_rows * sig1)
-    delta = float(np.sum((s1 - s_init) ** 2)) / op.n_cols
-    if delta < stop.tol or stop.max_iter == 1:
-        return finish(theta1, 1, delta < stop.tol)
-
-    s2, h2, g2, sig2 = _cached_ecme_step(op, y, s1, g_y, g1, r)
-    theta2 = ParamEstimate(s2, sig2, r)
-    trace.append(op.n_rows * sig2)
-    delta = float(np.sum((s2 - s1) ** 2)) / op.n_cols
-    if delta < stop.tol or stop.max_iter == 2:
-        return finish(theta2, 2, delta < stop.tol)
-
-    state = DoreState(
-        theta_prev=theta1, theta_curr=theta2,
-        h_prev=h1, g_prev=g1, h_curr=h2, g_curr=g2, g_y=g_y,
-    )
-    iterations = 2
-    converged = False
-    while iterations < stop.max_iter:
-        state, _ = dore_step(op, y, state, r)
-        iterations += 1
-        trace.append(op.n_rows * state.theta_curr.sigma2)
-        branches.append(state.branch)
-        if verify_state and not state.verify_cache(op, y):
-            raise RuntimeError("cached measurement images drifted from signals")
-        delta = float(
-            np.sum((state.theta_curr.s - state.theta_prev.s) ** 2)
-        ) / op.n_cols
-        if delta < stop.tol:
-            converged = True
-            break
-    return finish(state.theta_curr, iterations, converged)
+    return _drive(op, y, r, s0, stop, dore_step)

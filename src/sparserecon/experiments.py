@@ -6,9 +6,11 @@ radial lines, while the unknown is the phantom's orthonormal Haar
 coefficient vector.  That composition has exactly orthonormal rows, so the
 fast thresholding path applies.
 
+``run_method`` is the one registry from method names (``KNOWN_METHODS``)
+to solvers; the CLI and ``benchmark_sweep`` both go through it.
 ``benchmark_sweep`` reruns each enabled method over a range of sampling
 densities and reports PSNR / iteration counts per cell; output is
-deterministic for a fixed seed (timings aside).
+deterministic (timings aside).
 """
 
 from __future__ import annotations
@@ -229,10 +231,47 @@ class BenchConfig:
     tol: float = 1e-14
     max_iter: int = 50_000
     adore_resolution: int = 64
-    seed: int = 0
 
 
-KNOWN_METHODS = ("ecme", "iht", "dore", "adore", "mn")
+@dataclass(frozen=True)
+class MethodRun:
+    """One method's estimate and bookkeeping, plus the library result
+    (``ReconstructionResult``, ``AdoreResult``, or None for ``mn``)."""
+
+    estimate: np.ndarray
+    iterations: int
+    converged: bool
+    elapsed_seconds: float
+    r_used: int
+    result: object
+
+
+_SOLVERS = {"ecme": ecme_run, "iht": iht_run, "dore": dore_run}
+KNOWN_METHODS = (*_SOLVERS, "adore", "mn")
+
+
+def run_method(method: str, op: SensingOperator, y, r: int | None = None,
+               stop: StoppingRule | None = None,
+               adore_resolution: int = 1) -> MethodRun:
+    """Run one of ``KNOWN_METHODS``: the registry behind the CLI and the sweep.
+
+    ``ecme``, ``iht`` and ``dore`` solve at sparsity level r; ``adore``
+    selects r itself; ``mn`` is the minimum-norm baseline (r_used 0).
+    """
+    if method in _SOLVERS:
+        res = _SOLVERS[method](op, y, r, stop=stop)
+        return MethodRun(res.estimate.s, res.iterations, res.converged,
+                         res.elapsed_seconds, r, res)
+    if method == "adore":
+        auto = adore_run(op, y, resolution=adore_resolution, stop=stop)
+        final = auto.final
+        return MethodRun(final.estimate.s, final.iterations, final.converged,
+                         final.elapsed_seconds, auto.r_selected, auto)
+    if method == "mn":
+        start = time.perf_counter()
+        estimate = minimum_norm_estimate(op, y)
+        return MethodRun(estimate, 0, True, time.perf_counter() - start, 0, None)
+    raise InputError(f"unknown method {method!r}")
 
 
 def parse_bench_config(text: str) -> BenchConfig:
@@ -262,34 +301,9 @@ def parse_bench_config(text: str) -> BenchConfig:
             values["max_iter"] = int(value)
         elif key == "adore_resolution":
             values["adore_resolution"] = int(value)
-        elif key == "seed":
-            values["seed"] = int(value)
         else:
             raise InputError(f"config line {lineno}: unknown key {key!r}")
     return BenchConfig(**values)
-
-
-def _run_method(method: str, problem: ProblemInstance, r: int,
-                stop: StoppingRule, adore_resolution: int):
-    """Returns (estimate_vector, iterations, elapsed)."""
-    op, y = problem.operator, problem.y
-    if method == "ecme":
-        res = ecme_run(op, y, r, stop=stop)
-    elif method == "iht":
-        res = iht_run(op, y, r, stop=stop)
-    elif method == "dore":
-        res = dore_run(op, y, r, stop=stop)
-    elif method == "adore":
-        auto = adore_run(op, y, resolution=adore_resolution, stop=stop)
-        return auto.final.estimate.s, auto.final.iterations, \
-            auto.final.elapsed_seconds, auto.r_selected
-    elif method == "mn":
-        start = time.perf_counter()
-        est = minimum_norm_estimate(op, y)
-        return est, 0, time.perf_counter() - start, 0
-    else:
-        raise InputError(f"unknown method {method!r}")
-    return res.estimate.s, res.iterations, res.elapsed_seconds, r
 
 
 def benchmark_sweep(config: BenchConfig) -> list[ExperimentReport]:
@@ -308,16 +322,14 @@ def benchmark_sweep(config: BenchConfig) -> list[ExperimentReport]:
         reference_image = basis.synthesize(problem.truth)
         r = problem.truth_support_size
         for method in config.methods:
-            est, iterations, elapsed, r_used = _run_method(
-                method, problem, r, stop, config.adore_resolution
-            )
-            estimate_image = basis.synthesize(est)
+            run = run_method(method, problem.operator, problem.y, r, stop,
+                             config.adore_resolution)
             reports.append(ExperimentReport(
                 method=method,
                 n_over_m=problem.operator.n_rows / m,
-                psnr_db=psnr(reference_image, estimate_image),
-                iterations=iterations,
-                elapsed_seconds=elapsed,
-                r_used=r_used,
+                psnr_db=psnr(reference_image, basis.synthesize(run.estimate)),
+                iterations=run.iterations,
+                elapsed_seconds=run.elapsed_seconds,
+                r_used=run.r_used,
             ))
     return reports

@@ -32,7 +32,12 @@ from .dore import dore_run
 from .errors import InputError, SizeGuardError
 from .matrix_analysis import _as_matrix
 from .operators import DenseOperator, SensingOperator
-from .recon import ParamEstimate, ReconstructionResult, StoppingRule
+from .recon import (
+    ParamEstimate,
+    ReconstructionResult,
+    StoppingRule,
+    _as_measurements,
+)
 
 BRUTE_FORCE_GUARD = 1_000_000
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # 0.618...
@@ -67,9 +72,7 @@ class UssScorer:
     """USS evaluator with the empty-model variance computed once."""
 
     def __init__(self, op: SensingOperator, y):
-        y = np.asarray(y, dtype=float)
-        if y.shape != (op.n_rows,):
-            raise InputError(f"y must have length {op.n_rows}, got shape {y.shape}")
+        y = _as_measurements(op, y)
         baseline = float(y @ op.gram_solve(y)) / op.n_rows
         if baseline <= 0.0:
             raise InputError("USS needs a nonzero measurement vector")

@@ -54,15 +54,10 @@ class GramFactor:
 
     size: int
     lower: np.ndarray  # L with H H^T = L L^T
-    spd: bool = True
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve (H H^T) x = b; b may be a vector or a matrix of columns."""
         return scipy.linalg.cho_solve((self.lower, True), b)
-
-    def reconstruct(self) -> np.ndarray:
-        """Multiply the factor back, L L^T."""
-        return self.lower @ self.lower.T
 
 
 class SensingOperator(ABC):
@@ -413,11 +408,6 @@ class PartialDft2Operator(SensingOperator):
             im = w[n_self + n_pairs:]
             coeffs[self._pairs[:, 0], self._pairs[:, 1]] = _SQRT2 * (re + 1j * im)
         return (self.side * np.fft.ifft2(coeffs).real).ravel()
-
-
-def partial_dft2_operator(mask) -> PartialDft2Operator:
-    """Build the real-embedded partial 2-D DFT operator for a frequency mask."""
-    return PartialDft2Operator(mask)
 
 
 class ComposedOperator(SensingOperator):

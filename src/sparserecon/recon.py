@@ -1,4 +1,4 @@
-"""Core hard-thresholding reconstruction.
+"""Core hard-thresholding reconstruction and the one iteration driver.
 
 The estimator treats the measurements y = H z as coming from a Gaussian
 vector z centered on an unknown sparse signal s with unknown variance
@@ -12,6 +12,16 @@ approached by alternating
 which monotonically decreases the weighted squared error
 
     E(s) = N * sigma2_hat(s) = (y - H s)^T (H H^T)^{-1} (y - H s).
+
+``ecme_step`` is that update written out directly; it is the reference the
+tests compare against.  The solvers run it from cached images instead:
+the driver behind ``ecme_run``, ``iht_run`` and ``dore_run`` validates the
+input, computes g_y = (H H^T)^{-1} y, H s and (H H^T)^{-1} H s once, and
+owns the objective trace, the stopping test and the result.  Each plain
+step then refines by z = s + H^T (g_y - g_s) and images the thresholded
+signal, at 1 apply, 1 gram solve and 1 adjoint per iteration.  A method
+supplies only its step: ECME and IHT take the plain step throughout, DORE
+takes two plain steps and then its overrelaxed step (``dore.dore_step``).
 
 With orthonormal rows (H H^T = I) the refinement step is exactly one
 iterative-hard-thresholding (IHT) step; ``iht_run`` is that special case
@@ -125,6 +135,52 @@ class ReconstructionResult:
         return out
 
 
+@dataclass(frozen=True)
+class DoreState:
+    """Two consecutive parameter estimates plus their cached images.
+
+    ``h_*`` holds H s and ``g_*`` holds (H H^T)^{-1} H s for the previous
+    and current signals; ``g_y`` caches (H H^T)^{-1} y for the whole run.
+    ``branch`` records which candidate the last decision step accepted
+    (None after a plain step).  Every run carries this state; only DORE's
+    second line search reads the previous iterate.
+    """
+
+    theta_prev: ParamEstimate
+    theta_curr: ParamEstimate
+    h_prev: np.ndarray
+    g_prev: np.ndarray
+    h_curr: np.ndarray
+    g_curr: np.ndarray
+    g_y: np.ndarray
+    branch: str | None = None
+
+    def advance(self, theta: ParamEstimate, h: np.ndarray, g: np.ndarray,
+                branch: str | None = None) -> DoreState:
+        """The state after accepting theta, whose images are h and g."""
+        return DoreState(
+            theta_prev=self.theta_curr, theta_curr=theta,
+            h_prev=self.h_curr, g_prev=self.g_curr, h_curr=h, g_curr=g,
+            g_y=self.g_y, branch=branch,
+        )
+
+    def verify_cache(self, op: SensingOperator, y, rtol: float = 1e-10) -> bool:
+        """Debug check: cached images consistent with the stored signals."""
+        y = np.asarray(y, dtype=float)
+        pairs = [
+            (self.h_prev, op.apply(self.theta_prev.s)),
+            (self.g_prev, op.gram_solve(op.apply(self.theta_prev.s))),
+            (self.h_curr, op.apply(self.theta_curr.s)),
+            (self.g_curr, op.gram_solve(op.apply(self.theta_curr.s))),
+            (self.g_y, op.gram_solve(y)),
+        ]
+        for cached, fresh in pairs:
+            scale = max(1.0, float(np.max(np.abs(fresh))))
+            if np.max(np.abs(cached - fresh)) > rtol * scale:
+                return False
+        return True
+
+
 def sigma2_hat(op: SensingOperator, y, s) -> float:
     """Closed-form variance estimate (y - Hs)^T (H H^T)^{-1} (y - Hs) / N.
 
@@ -136,6 +192,12 @@ def sigma2_hat(op: SensingOperator, y, s) -> float:
     return max(value, 0.0)
 
 
+def _quadratic_sigma2(y, h_s, g_y, g_s, n_rows: int) -> float:
+    """(y - Hs)^T (H H^T)^{-1} (y - Hs) / N from cached images."""
+    value = float((y - h_s) @ (g_y - g_s)) / n_rows
+    return max(value, 0.0)
+
+
 def weighted_error(op: SensingOperator, y, s) -> float:
     """Weighted squared error E(s) = N * sigma2_hat(s)."""
     return op.n_rows * sigma2_hat(op, y, s)
@@ -143,10 +205,33 @@ def weighted_error(op: SensingOperator, y, s) -> float:
 
 def ecme_step(op: SensingOperator, y, theta: ParamEstimate) -> ParamEstimate:
     """One refinement: gram-weighted signal update, threshold, variance update."""
-    y = np.asarray(y, dtype=float)
-    z = theta.s + op.apply_adjoint(op.gram_solve(y - op.apply(theta.s)))
-    s_next = hard_threshold(z, theta.r)
+    s_next = hard_threshold(empirical_bayes_estimate(op, y, theta), theta.r)
     return ParamEstimate(s_next, sigma2_hat(op, y, s_next), theta.r)
+
+
+def cached_ecme_step(op: SensingOperator, y, state: DoreState, r: int) -> DoreState:
+    """The refinement of :func:`ecme_step` from the state's cached images.
+
+    z = s + H^T (g_y - g_s) needs one adjoint; imaging the thresholded
+    signal costs one apply and one gram solve.  On orthonormal rows this
+    is bit-identical to ``ecme_step``; otherwise it rounds differently.
+    """
+    z = state.theta_curr.s + op.apply_adjoint(state.g_y - state.g_curr)
+    s_next = hard_threshold(z, r)
+    h_next = op.apply(s_next)
+    g_next = op.gram_solve(h_next)
+    sigma2 = _quadratic_sigma2(y, h_next, state.g_y, g_next, op.n_rows)
+    return state.advance(ParamEstimate(s_next, sigma2, r), h_next, g_next)
+
+
+def _as_measurements(op: SensingOperator, y) -> np.ndarray:
+    """y as a float vector of the operator's length with finite entries."""
+    y = np.asarray(y, dtype=float)
+    if y.shape != (op.n_rows,):
+        raise InputError(f"y must have length {op.n_rows}, got shape {y.shape}")
+    if not np.isfinite(y).all():
+        raise InputError("y must have finite entries")
+    return y
 
 
 def _initial_signal(op: SensingOperator, r: int, s0) -> np.ndarray:
@@ -155,48 +240,68 @@ def _initial_signal(op: SensingOperator, r: int, s0) -> np.ndarray:
     s0 = np.asarray(s0, dtype=float)
     if s0.shape != (op.n_cols,):
         raise InputError(f"s0 must have length {op.n_cols}, got shape {s0.shape}")
+    if not np.isfinite(s0).all():
+        raise InputError("s0 must have finite entries")
     if np.count_nonzero(s0) > r:
         return hard_threshold(s0, r)
     return s0.copy()
 
 
-def _iterate(op: SensingOperator, y, r: int, s0, stop: StoppingRule) -> ReconstructionResult:
-    y = np.asarray(y, dtype=float)
-    if y.shape != (op.n_rows,):
-        raise InputError(f"y must have length {op.n_rows}, got shape {y.shape}")
+def _drive(op: SensingOperator, y, r: int, s0, stop: StoppingRule | None,
+           step=None) -> ReconstructionResult:
+    """The iteration loop behind every solver.
+
+    Runs :func:`cached_ecme_step` until the stopping rule fires.  When
+    ``step`` is given (``dore.dore_step``: a function of (op, y, state, r)
+    returning the next state and its line-search weights), the first two
+    updates stay plain steps, to seed both iterates of the state, and
+    ``step`` takes every later one; its decisions are recorded in
+    ``branches``.
+    """
+    stop = stop or StoppingRule()
+    y = _as_measurements(op, y)
     if not 0 <= r <= op.n_cols:
         raise InputError(f"sparsity level r={r} outside [0, {op.n_cols}]")
     start = time.perf_counter()
     s = _initial_signal(op, r, s0)
-    theta = ParamEstimate(s, sigma2_hat(op, y, s), r)
+    g_y = op.gram_solve(y)
+    h = op.apply(s)
+    g = op.gram_solve(h)
+    theta = ParamEstimate(s, _quadratic_sigma2(y, h, g_y, g, op.n_rows), r)
+    state = DoreState(theta, theta, h, g, h, g, g_y)
     trace = [op.n_rows * theta.sigma2]
-    converged = False
+    branches = None if step is None else []
     iterations = 0
-    for _ in range(stop.max_iter):
-        theta_next = ecme_step(op, y, theta)
+    converged = False
+    while not converged and iterations < stop.max_iter:
+        if step is None or iterations < 2:
+            state = cached_ecme_step(op, y, state, r)
+        else:
+            state, _ = step(op, y, state, r)
+            branches.append(state.branch)
         iterations += 1
-        trace.append(op.n_rows * theta_next.sigma2)
-        delta = float(np.sum((theta_next.s - theta.s) ** 2)) / op.n_cols
-        theta = theta_next
-        if delta < stop.tol:
-            converged = True
-            break
+        trace.append(op.n_rows * state.theta_curr.sigma2)
+        step_ssq = float(np.sum((state.theta_curr.s - state.theta_prev.s) ** 2))
+        converged = step_ssq / op.n_cols < stop.tol
     return ReconstructionResult(
-        estimate=theta,
+        estimate=state.theta_curr,
         trace=trace,
         iterations=iterations,
         converged=converged,
         elapsed_seconds=time.perf_counter() - start,
+        branches=branches,
     )
 
 
 def ecme_run(op: SensingOperator, y, r: int, s0=None,
              stop: StoppingRule | None = None) -> ReconstructionResult:
-    """Iterate ecme_step from s0 (default 0) until the stopping rule fires.
+    """Iterate the refinement step from s0 (default 0) until the stopping
+    rule fires.
 
     An initial estimate with more than r nonzeros is thresholded first.
+    Non-finite y or s0 raise :class:`InputError`.
     """
-    return _iterate(op, y, r, s0, stop or StoppingRule())
+    return _drive(op, y, r, s0, stop)
 
 
 def iht_run(op: SensingOperator, y, r: int, s0=None,
@@ -209,7 +314,7 @@ def iht_run(op: SensingOperator, y, r: int, s0=None,
     """
     if not op.rows_orthonormal:
         raise InputError("IHT path requires orthonormal rows")
-    return _iterate(op, y, r, s0, stop or StoppingRule())
+    return _drive(op, y, r, s0, stop)
 
 
 def minimum_norm_estimate(op: SensingOperator, y) -> np.ndarray:

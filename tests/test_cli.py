@@ -111,6 +111,18 @@ def test_exit_code_input_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("solver", ["ecme", "dore", "adore"])
+def test_exit_code_non_finite_measurements(tmp_path, toy_files, solver, capsys):
+    matrix_path, _ = toy_files
+    y_path = tmp_path / "y_nan.csv"
+    y_path.write_text("2.0\nnan\n")
+    args = [solver, "--matrix", matrix_path, "--y", str(y_path)]
+    if solver != "adore":
+        args += ["--r", "1"]
+    assert main(args) == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_exit_code_size_guard(toy_files, capsys):
     matrix_path, _ = toy_files
     code = main(["analyze", "--matrix", matrix_path, "--r-max", "2",

@@ -86,7 +86,7 @@ def test_alpha_zero_when_residual_orthogonal():
     g_hat = h_hat.copy()
     y = h_hat.copy()  # zero residual
     h_curr = rng.standard_normal(6)
-    assert dore_alpha1(h_hat, g_hat, h_curr, h_curr, y, y) == pytest.approx(0.0)
+    assert dore_alpha1(h_hat, g_hat, h_curr, h_curr, y) == pytest.approx(0.0)
 
 
 def test_alpha_zero_on_degenerate_ray():
@@ -94,8 +94,8 @@ def test_alpha_zero_on_degenerate_ray():
     h = rng.standard_normal(5)
     y = rng.standard_normal(5)
     # H s_hat = H s_curr: denominator is exactly zero -> weight 0
-    assert dore_alpha1(h, h, h, h, y, y) == 0.0
-    assert dore_alpha2(h, h, h, h, y, y) == 0.0
+    assert dore_alpha1(h, h, h, h, y) == 0.0
+    assert dore_alpha2(h, h, h, h, y) == 0.0
 
 
 def test_alpha1_minimizes_error_along_ray():
@@ -107,7 +107,7 @@ def test_alpha1_minimizes_error_along_ray():
         s_hat, s_curr = theta.s, state.theta_curr.s
         h_hat = op.apply(s_hat)
         g_hat = op.gram_solve(h_hat)
-        alpha = dore_alpha1(h_hat, g_hat, state.h_curr, state.g_curr, y, state.g_y)
+        alpha = dore_alpha1(h_hat, g_hat, state.h_curr, state.g_curr, state.g_y)
         best = weighted_error(op, y, s_hat + alpha * (s_hat - s_curr))
         for a in rng.uniform(-3.0, 3.0, size=100):
             trial_err = weighted_error(op, y, s_hat + a * (s_hat - s_curr))
@@ -161,6 +161,14 @@ def test_dore_step_cost_budget():
     assert applies <= 3 * 5
     assert grams <= 2 * 5
     assert adjoints <= 2 * 5
+    # a plain run on the driver: k iterations after imaging s0 and y
+    counter = CountingOperator(op)
+    k = ecme_run(counter, y, 3).iterations
+    applies, grams, adjoints = counter.counts()
+    assert k > 1
+    assert applies <= k + 1
+    assert grams <= k + 2
+    assert adjoints <= k
 
 
 def test_dore_state_cache_verification():
@@ -203,12 +211,31 @@ def test_dore_run_monotone_trace_and_branches():
     for trial in range(20):
         op, y, _ = _random_problem(rng, n=12, m=30, r=4,
                                    noise=0.1 if trial % 2 else 0.0)
-        res = dore_run(op, y, 4, verify_state=True)
+        res = dore_run(op, y, 4)
         trace = np.asarray(res.trace)
         assert np.all(np.diff(trace) <= 1e-12)
         assert res.branches is not None
         assert set(res.branches) <= {"ecme", "overrelaxed"}
         assert len(res.branches) == max(res.iterations - 2, 0)
+        # the images carried by linear combination never drift
+        state = _seed_state(op, y, 4)
+        for _ in range(res.iterations - 2):
+            state, _ = dore_step(op, y, state, 4)
+            assert state.verify_cache(op, y)
+
+
+def test_dore_seeds_with_the_plain_steps():
+    # both solvers take the same two cached plain steps first
+    rng = np.random.default_rng(12)
+    for trial in range(10):
+        op, y, _ = _random_problem(rng, n=12, m=30, r=4, noise=0.1)
+        assert not op.rows_orthonormal
+        stop = StoppingRule(tol=1e-30, max_iter=2)
+        plain = ecme_run(op, y, 4, stop=stop)
+        fast = dore_run(op, y, 4, stop=stop)
+        assert plain.iterations == fast.iterations == 2
+        assert np.array_equal(plain.estimate.s, fast.estimate.s)
+        assert plain.trace == fast.trace
 
 
 def test_dore_convergence_point_is_plain_fixed_point():

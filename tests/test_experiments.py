@@ -198,13 +198,12 @@ def test_parse_bench_config_full():
     tol = 1e-12
     max_iter = 500
     adore_resolution = 32
-    seed = 7
     """
     config = parse_bench_config(text)
     assert config == BenchConfig(side=32, lines=(8, 12),
                                  methods=("ecme", "dore", "mn"),
                                  tol=1e-12, max_iter=500,
-                                 adore_resolution=32, seed=7)
+                                 adore_resolution=32)
 
 
 def test_parse_bench_config_errors():

@@ -14,7 +14,6 @@ from sparserecon import (
     haar_dwt_2d,
     haar_idwt_2d,
     partial_dct_matrix,
-    partial_dft2_operator,
     probe_rows_orthonormal,
 )
 from sparserecon.operators import dct_matrix
@@ -72,9 +71,12 @@ def test_gram_factor_reconstruct():
     H = rng.standard_normal((6, 15))
     op = DenseOperator(H)
     gram = H @ H.T
-    err = np.abs(op.gram_factor.reconstruct() - gram).max()
+    lower = op.gram_factor.lower
+    err = np.abs(lower @ lower.T - gram).max()
     assert err <= 1e-10 * np.abs(gram).max()
-    assert op.gram_factor.spd
+    # a triangular factor with a positive diagonal makes L L^T SPD
+    assert np.array_equal(lower, np.tril(lower))
+    assert np.all(np.diag(lower) > 0)
 
 
 def test_rank_deficient_rejected():
@@ -205,7 +207,7 @@ def test_dft2_full_mask_invertible():
 def test_dft2_dc_only_mask_is_mean():
     mask = np.zeros((8, 8), dtype=bool)
     mask[0, 0] = True
-    op = partial_dft2_operator(mask)
+    op = PartialDft2Operator(mask)
     assert op.n_rows == 1
     rng = np.random.default_rng(10)
     v = rng.standard_normal(64)

@@ -10,6 +10,8 @@ from sparserecon import (
     ParamEstimate,
     PartialDctOperator,
     StoppingRule,
+    adore_run,
+    dore_run,
     ecme_run,
     ecme_step,
     empirical_bayes_estimate,
@@ -261,6 +263,28 @@ def test_iht_matches_ecme_exactly(bench_dct_operator):
     assert a.trace == b.trace
     assert np.array_equal(a.estimate.s, b.estimate.s)
     assert a.iterations == b.iterations
+
+
+def test_non_finite_input_rejected(bench_dct_operator, bench_dct_dense):
+    rng = np.random.default_rng(15)
+    y = rng.standard_normal(21)
+    y_inf = y.copy()
+    y_inf[3] = np.inf
+    with pytest.raises(InputError, match="finite"):
+        iht_run(bench_dct_operator, y_inf, 4)
+    s0 = np.zeros(32)
+    s0[5] = np.nan
+    for op in (bench_dct_operator, bench_dct_dense):
+        with pytest.raises(InputError, match="finite"):
+            ecme_run(op, y, 4, s0=s0)
+    op = DenseOperator(rng.standard_normal((10, 24)))
+    y_nan = rng.standard_normal(10)
+    y_nan[0] = np.nan
+    for solver in (ecme_run, dore_run):
+        with pytest.raises(InputError, match="finite"):
+            solver(op, y_nan, 3)
+    with pytest.raises(InputError, match="finite"):
+        adore_run(op, y_nan)
 
 
 # ------------------------------------------------------------------ baselines
