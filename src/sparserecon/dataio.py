@@ -2,8 +2,8 @@
 
 Matrices and vectors travel as headerless comma-separated values with '.'
 as the decimal mark (row-major for matrices, one value per line for
-vectors); masks are CSV of 0/1.  Results serialize to JSON through the
-``to_json_dict`` methods on the result dataclasses.
+vectors).  Results serialize to JSON through the ``to_json_dict``
+methods on the result dataclasses.
 """
 
 from __future__ import annotations
@@ -44,18 +44,6 @@ def load_vector_csv(path) -> np.ndarray:
 
 def save_vector_csv(path, vector) -> None:
     np.savetxt(path, np.asarray(vector, dtype=float).ravel(), delimiter=",")
-
-
-def load_mask_csv(path) -> np.ndarray:
-    """Read a 0/1 mask as a boolean array."""
-    raw = load_matrix_csv(path)
-    if not np.isin(raw, (0.0, 1.0)).all():
-        raise InputError(f"mask CSV {path} must contain only 0 and 1")
-    return raw.astype(bool)
-
-
-def save_mask_csv(path, mask) -> None:
-    np.savetxt(path, np.asarray(mask, dtype=int), delimiter=",", fmt="%d")
 
 
 def save_json(path, payload: dict) -> None:

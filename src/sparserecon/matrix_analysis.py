@@ -9,9 +9,18 @@ the normalized energy of the projection of s onto the row space of H.
 Its minimum over all r-sparse vectors reduces to a minimum over size-r
 supports A of lambda_min(H_A^T (H H^T)^{-1} H_A), which this module
 enumerates exactly (with a hard guard on the number of supports).  The
-restricted isometry constant and the spark are computed the same way.
-Eigenvalue work always happens on the r x r restricted forms, never on
-m x m matrices.
+restricted isometry constant is computed the same way from H^T H.
+
+One private kernel serves all four support searches (exact and sampled
+min-SSQ and RIC): it forms the m x m matrix Q = H^T (H H^T)^{-1} H, or
+H^T H, once, streams the supports in chunks of ``_CHUNK``, gathers each
+chunk's r x r principal blocks into one stacked array and takes their
+eigenvalues in one ``eigvalsh`` call.  Beyond the m x m form, memory is
+bounded per chunk.  Eigenvalue work happens only on the r x r blocks.
+
+The spark search screens each chunk of column subsets with one stacked
+SVD and runs its documented pivoted-QR rank test only on the subsets the
+screen cannot clear, so it returns what that test alone would.
 
 ``certify`` bundles the measures into a machine-readable certificate with
 two recovery flags per sparsity level:
@@ -28,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, islice
 
 import numpy as np
 import scipy.linalg
@@ -38,6 +47,8 @@ from .operators import DenseOperator, SensingOperator
 
 MIN_SSQ_GUARD = 10_000_000
 _ZERO_EIG_TOL = 1e-14
+# supports per stacked eigenvalue call; bounds the (chunk, r, r) work arrays
+_CHUNK = 1024
 
 
 def _as_matrix(h) -> np.ndarray:
@@ -48,16 +59,9 @@ def _as_matrix(h) -> np.ndarray:
     h = np.asarray(h, dtype=float)
     if h.ndim != 2:
         raise InputError("expected a 2-D matrix")
+    if not np.isfinite(h).all():
+        raise InputError("sensing matrix entries must be finite")
     return h
-
-
-def _weighted_columns(h: np.ndarray) -> np.ndarray:
-    """Solve (H H^T) X = H once; column i holds (H H^T)^{-1} h_i."""
-    gram = h @ h.T
-    try:
-        return scipy.linalg.cho_solve((np.linalg.cholesky(gram), True), h)
-    except np.linalg.LinAlgError as exc:
-        raise InputError("not a proper sensing matrix: rows are rank deficient") from exc
 
 
 def _check_guard(m: int, r: int, guard: int) -> None:
@@ -86,12 +90,74 @@ def ssq(s, h) -> float:
     return min(max(float(hs @ solved) / energy, 0.0), 1.0)
 
 
+def _support_chunks(supports, r: int):
+    """Group an iterable of size-r supports into (<= _CHUNK, r) index arrays."""
+    supports = iter(supports)
+    while True:
+        flat = np.fromiter(chain.from_iterable(islice(supports, _CHUNK)), dtype=np.intp)
+        if flat.size == 0:
+            return
+        yield flat.reshape(-1, r)
+
+
+def _sampled_supports(m: int, r: int, n_samples: int, seed: int):
+    """Sorted random size-r supports, drawn one ``rng.choice`` at a time."""
+    if n_samples < 1:
+        raise InputError(f"n_samples must be at least 1, got {n_samples}")
+    rng = np.random.default_rng(seed)
+    return (np.sort(rng.choice(m, size=r, replace=False)) for _ in range(n_samples))
+
+
+def _best_support(form: np.ndarray, supports, r: int, score,
+                  stop_at: float = -np.inf) -> tuple[float, tuple[int, ...]]:
+    """Minimise ``score`` over the r x r principal blocks of an m x m form.
+
+    Supports stream in chunks of ``_CHUNK``; each chunk's blocks are gathered
+    into one (chunk, r, r) array and take one stacked ``eigvalsh`` call.
+    ``score`` maps the ascending eigenvalues, shape (chunk, r), to one value
+    per support.  Ties go to the first support in stream order.  The search
+    stops at the first support scoring at or below ``stop_at``, which is
+    then the one returned.
+    """
+    m = form.shape[0]
+    entries = form.ravel()
+    best, best_support = np.inf, ()
+    for idx in _support_chunks(supports, r):
+        blocks = entries[idx[:, :, None] * m + idx[:, None, :]]
+        values = score(np.linalg.eigvalsh(blocks))
+        hits = np.flatnonzero(values <= stop_at)
+        pos = hits[0] if hits.size else np.argmin(values)
+        if values[pos] < best:
+            best, best_support = float(values[pos]), tuple(int(i) for i in idx[pos])
+        if hits.size:
+            break
+    return best, best_support
+
+
+def _smallest_eig(eigs: np.ndarray) -> np.ndarray:
+    return eigs[:, 0]
+
+
+def _negative_isometry_deviation(eigs: np.ndarray) -> np.ndarray:
+    return -np.maximum(np.abs(1.0 - eigs[:, 0]), np.abs(eigs[:, -1] - 1.0))
+
+
+def _projection_form(h: np.ndarray) -> np.ndarray:
+    """Q = H^T (H H^T)^{-1} H, whose principal blocks are the restricted forms."""
+    try:
+        weighted = scipy.linalg.cho_solve((np.linalg.cholesky(h @ h.T), True), h)
+    except np.linalg.LinAlgError as exc:
+        raise InputError("not a proper sensing matrix: rows are rank deficient") from exc
+    return h.T @ weighted
+
+
 def min_ssq(h, r: int, guard: int = MIN_SSQ_GUARD) -> tuple[float, tuple[int, ...]]:
     """Exact minimum r-SSQ and a support attaining it.
 
     Enumerates size-r supports lexicographically and minimizes the smallest
     eigenvalue of H_A^T (H H^T)^{-1} H_A.  Stops early once an exactly
-    singular restriction is found (the minimum cannot drop below zero).
+    singular restriction is found (the minimum cannot drop below zero); the
+    support returned is then the lexicographically first singular one.
     """
     h = _as_matrix(h)
     n, m = h.shape
@@ -101,19 +167,10 @@ def min_ssq(h, r: int, guard: int = MIN_SSQ_GUARD) -> tuple[float, tuple[int, ..
         # any size-r restriction is rank deficient
         return 0.0, tuple(range(r))
     _check_guard(m, r, guard)
-    weighted = _weighted_columns(h)
-    best = np.inf
-    best_support: tuple[int, ...] = tuple(range(r))
-    for support_set in combinations(range(m), r):
-        idx = list(support_set)
-        restricted = h[:, idx].T @ weighted[:, idx]
-        smallest = float(np.linalg.eigvalsh(restricted)[0])
-        if smallest < best:
-            best = smallest
-            best_support = support_set
-            if best <= _ZERO_EIG_TOL:
-                best = 0.0
-                break
+    best, best_support = _best_support(_projection_form(h), combinations(range(m), r),
+                                       r, _smallest_eig, _ZERO_EIG_TOL)
+    if best <= _ZERO_EIG_TOL:
+        best = 0.0
     return min(max(best, 0.0), 1.0), best_support
 
 
@@ -125,17 +182,9 @@ def ric(h, r: int, guard: int = MIN_SSQ_GUARD) -> tuple[float, tuple[int, ...]]:
     if not 1 <= r <= m:
         raise InputError(f"sparsity level r={r} outside [1, {m}]")
     _check_guard(m, r, guard)
-    gram_full = h.T @ h
-    worst = -np.inf
-    worst_support: tuple[int, ...] = tuple(range(r))
-    for support_set in combinations(range(m), r):
-        idx = np.asarray(support_set)
-        eigs = np.linalg.eigvalsh(gram_full[np.ix_(idx, idx)])
-        deviation = max(abs(1.0 - eigs[0]), abs(eigs[-1] - 1.0))
-        if deviation > worst:
-            worst = deviation
-            worst_support = support_set
-    return float(worst), worst_support
+    worst, worst_support = _best_support(h.T @ h, combinations(range(m), r), r,
+                                         _negative_isometry_deviation)
+    return -worst, worst_support
 
 
 def min_ssq_sampled(h, r: int, n_samples: int = 10_000, seed: int = 0
@@ -149,17 +198,10 @@ def min_ssq_sampled(h, r: int, n_samples: int = 10_000, seed: int = 0
     n, m = h.shape
     if not 1 <= r <= m:
         raise InputError(f"sparsity level r={r} outside [1, {m}]")
+    supports = _sampled_supports(m, r, n_samples, seed)  # checks n_samples
     if r > n:
         return 0.0, tuple(range(r))
-    weighted = _weighted_columns(h)
-    rng = np.random.default_rng(seed)
-    best, best_support = np.inf, tuple(range(r))
-    for _ in range(n_samples):
-        idx = np.sort(rng.choice(m, size=r, replace=False))
-        restricted = h[:, idx].T @ weighted[:, idx]
-        smallest = float(np.linalg.eigvalsh(restricted)[0])
-        if smallest < best:
-            best, best_support = smallest, tuple(int(i) for i in idx)
+    best, best_support = _best_support(_projection_form(h), supports, r, _smallest_eig)
     return min(max(best, 0.0), 1.0), best_support
 
 
@@ -171,19 +213,12 @@ def ric_sampled(h, r: int, n_samples: int = 10_000, seed: int = 0
     support).  Never feeds certificates.
     """
     h = _as_matrix(h)
-    n, m = h.shape
+    _, m = h.shape
     if not 1 <= r <= m:
         raise InputError(f"sparsity level r={r} outside [1, {m}]")
-    gram_full = h.T @ h
-    rng = np.random.default_rng(seed)
-    worst, worst_support = -np.inf, tuple(range(r))
-    for _ in range(n_samples):
-        idx = np.sort(rng.choice(m, size=r, replace=False))
-        eigs = np.linalg.eigvalsh(gram_full[np.ix_(idx, idx)])
-        deviation = max(abs(1.0 - eigs[0]), abs(eigs[-1] - 1.0))
-        if deviation > worst:
-            worst, worst_support = deviation, tuple(int(i) for i in idx)
-    return float(worst), worst_support
+    worst, worst_support = _best_support(h.T @ h, _sampled_supports(m, r, n_samples, seed),
+                                         r, _negative_isometry_deviation)
+    return -worst, worst_support
 
 
 def spark(h, guard: int = MIN_SSQ_GUARD) -> int:
@@ -191,7 +226,10 @@ def spark(h, guard: int = MIN_SSQ_GUARD) -> int:
 
     Rank tests use column-pivoted QR with tolerance 1e-10 * ||H||_2.
     Searches subset sizes in increasing order and stops at the first
-    dependent subset found.
+    dependent subset found.  Each chunk of subsets is screened first by one
+    stacked SVD: sigma_min(A) <= min |r_ii| for any QR factorisation of A,
+    so a subset whose smallest singular value exceeds twice the tolerance
+    cannot fail the QR test, and only the others are factorised.
     """
     h = _as_matrix(h)
     n, m = h.shape
@@ -203,12 +241,13 @@ def spark(h, guard: int = MIN_SSQ_GUARD) -> int:
         )
     tol = 1e-10 * np.linalg.norm(h, 2)
     for k in range(1, n + 1):
-        for subset in combinations(range(m), k):
-            r_factor = scipy.linalg.qr(h[:, list(subset)], mode="r", pivoting=True)[0]
-            diag = np.abs(np.diag(r_factor))
-            rank = int(np.count_nonzero(diag > tol)) if diag.size else 0
-            if rank < k:
-                return k
+        for idx in _support_chunks(combinations(range(m), k), k):
+            stacked = h[:, idx].transpose(1, 0, 2)
+            smallest = np.linalg.svd(stacked, compute_uv=False)[:, -1]
+            for subset in idx[smallest <= 2.0 * tol]:
+                r_factor = scipy.linalg.qr(h[:, subset], mode="r", pivoting=True)[0]
+                if np.count_nonzero(np.abs(np.diag(r_factor)) > tol) < k:
+                    return k
     return n + 1
 
 

@@ -7,10 +7,8 @@ import pytest
 
 from sparserecon.cli import main
 from sparserecon.dataio import (
-    load_mask_csv,
     load_matrix_csv,
     load_vector_csv,
-    save_mask_csv,
     save_matrix_csv,
     save_vector_csv,
 )
@@ -29,13 +27,10 @@ def test_dataio_round_trips(tmp_path):
     rng = np.random.default_rng(0)
     matrix = rng.standard_normal((3, 5))
     vector = rng.standard_normal(7)
-    mask = rng.random((4, 4)) < 0.5
     save_matrix_csv(tmp_path / "m.csv", matrix)
     save_vector_csv(tmp_path / "v.csv", vector)
-    save_mask_csv(tmp_path / "mask.csv", mask)
     assert np.allclose(load_matrix_csv(tmp_path / "m.csv"), matrix, atol=1e-12)
     assert np.allclose(load_vector_csv(tmp_path / "v.csv"), vector, atol=1e-12)
-    assert np.array_equal(load_mask_csv(tmp_path / "mask.csv"), mask)
 
 
 def test_vector_accepts_single_row(tmp_path):
@@ -121,6 +116,26 @@ def test_exit_code_non_finite_measurements(tmp_path, toy_files, solver, capsys):
         args += ["--r", "1"]
     assert main(args) == 2
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry", ["nan", "inf"])
+@pytest.mark.parametrize("mode", [[], ["--sampled", "--samples", "50"]],
+                         ids=["exact", "sampled"])
+def test_exit_code_non_finite_matrix(tmp_path, entry, mode, capsys):
+    matrix_path = tmp_path / "H_bad.csv"
+    matrix_path.write_text(f"1.0,0.0,1.0\n0.0,{entry},1.0\n")
+    assert main(["analyze", "--matrix", str(matrix_path), "--r-max", "1", *mode]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_exit_code_zero_samples(tmp_path, toy_files, capsys):
+    matrix_path, _ = toy_files
+    out = tmp_path / "bounds.json"
+    code = main(["analyze", "--matrix", matrix_path, "--r-max", "1",
+                 "--sampled", "--samples", "0", "--out", str(out)])
+    assert code == 2
+    assert "n_samples" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_exit_code_size_guard(toy_files, capsys):

@@ -1,8 +1,13 @@
 """Exact matrix measures: SSQ, RIC, spark, certificates, stationarity."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import assume, given, settings, strategies as st
 
+from sparserecon import matrix_analysis
 from sparserecon import (
     DenseOperator,
     InputError,
@@ -11,6 +16,7 @@ from sparserecon import (
     coherence,
     dct_matrix,
     ecme_run,
+    partial_dct_matrix,
     hard_threshold,
     min_ssq,
     min_ssq_sampled,
@@ -287,6 +293,199 @@ def test_sampled_modes_bound_exact_values():
     approx_gamma, _ = ric_sampled(H, 3, n_samples=200, seed=1)
     assert approx_rho >= exact_rho - 1e-12   # upper bound on the minimum
     assert approx_gamma <= exact_gamma + 1e-12  # lower bound on the maximum
+
+
+def test_sampled_modes_need_a_sample():
+    H = np.random.default_rng(20).standard_normal((4, 8))
+    for sampled in (min_ssq_sampled, ric_sampled):
+        with pytest.raises(InputError, match="n_samples"):
+            sampled(H, 2, n_samples=0)
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+def test_non_finite_matrix_rejected(entry):
+    H = np.random.default_rng(21).standard_normal((3, 6))
+    H[1, 4] = entry
+    for measure in (lambda h: min_ssq(h, 2), lambda h: ric(h, 2), spark,
+                    lambda h: min_ssq_sampled(h, 2, 10), lambda h: ric_sampled(h, 2, 10),
+                    lambda h: certify(h, 1)):
+        with pytest.raises(InputError, match="finite"):
+            measure(H)
+
+
+# ------------------------------------- batched kernel against the loop oracle
+#
+# The reference implementations below evaluate one support at a time, in
+# lexicographic (or sample) order, exactly as the batched kernel must
+# behave: first support wins ties, and min-SSQ stops at the first support
+# whose smallest eigenvalue is at most 1e-14.
+
+def _restricted_forms(h):
+    weighted = scipy.linalg.cho_solve((np.linalg.cholesky(h @ h.T), True), h)
+    return (lambda idx: h[:, idx].T @ weighted[:, idx]), (lambda idx: h[:, idx].T @ h[:, idx])
+
+
+def _deviation(eigs):
+    return max(abs(1.0 - eigs[0]), abs(eigs[-1] - 1.0))
+
+
+def _loop_min_ssq(h, supports):
+    projected, _ = _restricted_forms(h)
+    best, best_support = np.inf, None
+    for support_set in supports:
+        smallest = float(np.linalg.eigvalsh(projected(list(support_set)))[0])
+        if smallest < best:
+            best, best_support = smallest, tuple(int(i) for i in support_set)
+    return min(max(best, 0.0), 1.0), best_support
+
+
+def _loop_min_ssq_exact(h, r):
+    projected, _ = _restricted_forms(h)
+    best, best_support = np.inf, None
+    for support_set in combinations(range(h.shape[1]), r):
+        smallest = float(np.linalg.eigvalsh(projected(list(support_set)))[0])
+        if smallest < best:
+            best, best_support = smallest, support_set
+            if best <= 1e-14:
+                return 0.0, best_support
+    return min(max(best, 0.0), 1.0), best_support
+
+
+def _loop_ric(h, supports):
+    _, gram = _restricted_forms(h)
+    worst, worst_support = -np.inf, None
+    for support_set in supports:
+        deviation = _deviation(np.linalg.eigvalsh(gram(list(support_set))))
+        if deviation > worst:
+            worst, worst_support = deviation, tuple(int(i) for i in support_set)
+    return worst, worst_support
+
+
+def _sampled(m, r, n_samples, seed):
+    rng = np.random.default_rng(seed)
+    return [np.sort(rng.choice(m, size=r, replace=False)) for _ in range(n_samples)]
+
+
+def _loop_spark(h):
+    n, m = h.shape
+    tol = 1e-10 * np.linalg.norm(h, 2)
+    for k in range(1, n + 1):
+        for subset in combinations(range(m), k):
+            r_factor = scipy.linalg.qr(h[:, list(subset)], mode="r", pivoting=True)[0]
+            if np.count_nonzero(np.abs(np.diag(r_factor)) > tol) < k:
+                return k
+    return n + 1
+
+
+def _attained(h, measured, support_set, value):
+    """The reported support gives the reported value."""
+    projected, gram = _restricted_forms(h)
+    eigs = np.linalg.eigvalsh((projected if measured == "ssq" else gram)(list(support_set)))
+    actual = min(max(eigs[0], 0.0), 1.0) if measured == "ssq" else _deviation(eigs)
+    return abs(actual - value) <= 1e-12
+
+
+@st.composite
+def _sensing_matrices(draw):
+    """Gaussian, integer with duplicate or dependent columns, or DCT rows."""
+    kind = draw(st.sampled_from(["gaussian", "integer", "dct"]))
+    n = draw(st.integers(2, 6))
+    m = draw(st.integers(n + 1, n + 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "gaussian":
+        return rng.standard_normal((n, m))
+    if kind == "dct":
+        return partial_dct_matrix(m, np.sort(rng.choice(m, size=n, replace=False)))
+    h = rng.integers(-2, 3, size=(n, m)).astype(float)
+    target, first, second = rng.choice(m, size=3, replace=False)
+    if draw(st.booleans()):
+        h[:, target] = draw(st.sampled_from([1.0, -2.0])) * h[:, first]
+    else:
+        h[:, target] = h[:, first] - h[:, second]
+    assume(np.linalg.matrix_rank(h) == n)
+    return h
+
+
+@settings(max_examples=60, deadline=None)
+@given(h=_sensing_matrices(), r=st.integers(1, 4))
+def test_exact_kernel_matches_loop_oracle(h, r):
+    r = min(r, h.shape[1])
+    value, attained = min_ssq(h, r)
+    if r > h.shape[0]:
+        assert (value, attained) == (0.0, tuple(range(r)))
+    else:
+        oracle_value, oracle_support = _loop_min_ssq_exact(h, r)
+        assert abs(value - oracle_value) <= 1e-12
+        assert _attained(h, "ssq", attained, value)
+        if oracle_value == 0.0:  # lexicographically first singular support
+            assert attained == oracle_support
+    gamma, gamma_support = ric(h, r)
+    oracle_gamma, _ = _loop_ric(h, combinations(range(h.shape[1]), r))
+    assert abs(gamma - oracle_gamma) <= 1e-12
+    assert _attained(h, "ric", gamma_support, gamma)
+    assert spark(h) == _loop_spark(h)
+
+
+@settings(max_examples=40, deadline=None)
+@given(h=_sensing_matrices(), r=st.integers(1, 4), seed=st.integers(0, 1000))
+def test_sampled_kernel_matches_loop_oracle(h, r, seed):
+    n, m = h.shape
+    r = min(r, n)
+    supports = _sampled(m, r, 40, seed)
+    value, attained = min_ssq_sampled(h, r, 40, seed)
+    oracle_value, _ = _loop_min_ssq(h, supports)
+    assert abs(value - oracle_value) <= 1e-12
+    assert _attained(h, "ssq", attained, value)
+    gamma, gamma_support = ric_sampled(h, r, 40, seed)
+    oracle_gamma, _ = _loop_ric(h, supports)
+    assert abs(gamma - oracle_gamma) <= 1e-12
+    assert _attained(h, "ric", gamma_support, gamma)
+    drawn = {tuple(int(i) for i in idx) for idx in supports}
+    assert attained in drawn and gamma_support in drawn
+
+
+def test_kernel_chunk_boundaries(monkeypatch):
+    monkeypatch.setattr(matrix_analysis, "_CHUNK", 3)
+    rng = np.random.default_rng(22)
+    # columns 2 and 3 nearly parallel: both extremes sit at (2, 3), the
+    # 12th of 21 supports, at the end of the fourth chunk of three
+    H = rng.standard_normal((4, 7))
+    H[:, 3] = H[:, 2] + 1e-3 * rng.standard_normal(4)
+    H /= np.linalg.norm(H, axis=0)
+    def agrees(got, oracle):
+        return abs(got[0] - oracle[0]) <= 1e-12 and got[1] == oracle[1]
+
+    assert agrees(min_ssq(H, 2), _loop_min_ssq_exact(H, 2))
+    assert agrees(ric(H, 2), _loop_ric(H, combinations(range(7), 2)))
+    assert min_ssq(H, 2)[1] == ric(H, 2)[1] == (2, 3)
+    supports = _sampled(7, 2, 20, 5)
+    assert agrees(min_ssq_sampled(H, 2, 20, 5), _loop_min_ssq(H, supports))
+    assert agrees(ric_sampled(H, 2, 20, 5), _loop_ric(H, supports))
+    # zero columns 4 and 5 are the only singular 1-supports; (4,) is the
+    # middle of the second chunk and the search must stop there
+    H[:, 4:6] = 0.0
+    assert min_ssq(H, 1) == (0.0, (4,)) == _loop_min_ssq_exact(H, 1)
+    # column 6 = column 1 - column 3: the first dependent triple is (1, 3, 6)
+    H = rng.standard_normal((4, 8))
+    H[:, 6] = H[:, 1] - H[:, 3]
+    assert min_ssq(H, 3) == (0.0, (1, 3, 6)) == _loop_min_ssq_exact(H, 3)
+    assert spark(H) == 3 == _loop_spark(H)
+
+
+def test_kernel_tie_and_stop_rules(monkeypatch):
+    """Exact ties go to the first support even across chunks, and within a
+    chunk the first support at or below the stop value wins, not the
+    chunk's minimum."""
+    monkeypatch.setattr(matrix_analysis, "_CHUNK", 3)
+
+    def best(diagonal, stop_at=-np.inf):
+        return matrix_analysis._best_support(
+            np.diag(diagonal), combinations(range(len(diagonal)), 1), 1,
+            lambda eigs: eigs[:, 0], stop_at)
+
+    assert best([0.3, 0.2, 0.5, 0.2, 0.2, 0.9]) == (0.2, (1,))
+    assert best([0.5, 0.4, 0.3, 0.2, 1e-15, -1e-3, 0.1], 1e-14) == (1e-15, (4,))
+    assert best([0.5, 0.4, 0.3, 0.2, 1e-15, -1e-3, 0.1]) == (-1e-3, (5,))
 
 
 # --------------------------------------------------------------- fixed points
