@@ -116,6 +116,9 @@ def _cmd_solver(args) -> int:
 
 def _cmd_analyze(args) -> int:
     matrix = load_matrix_csv(args.matrix)
+    m = matrix.shape[1]
+    if not 1 <= args.r_max <= m:
+        raise InputError(f"r_max={args.r_max} outside [1, {m}]")
     if args.sampled:
         per_r = []
         for r in range(1, args.r_max + 1):

@@ -30,7 +30,6 @@ from .operators import (
     HaarBasis,
     PartialDft2Operator,
     SensingOperator,
-    haar_dwt_2d,
 )
 from .recon import (
     StoppingRule,
@@ -170,14 +169,14 @@ def random_instance(m: int, n_rows: int, r_true: int, noise_sigma: float,
     )
 
 
-def phantom_problem(side: int, n_lines: int, levels=None) -> ProblemInstance:
-    """Noiseless tomographic problem: Haar coefficients of the phantom
-    measured through the radial-line partial DFT.  The composed operator
-    has orthonormal rows by construction."""
-    image = phantom(side)
-    truth = haar_dwt_2d(image, levels)
+def phantom_problem(side: int, n_lines: int) -> ProblemInstance:
+    """Noiseless tomographic problem: full-depth Haar coefficients of the
+    phantom measured through the radial-line partial DFT.  The composed
+    operator has orthonormal rows by construction."""
+    basis = HaarBasis(side)
+    truth = basis.analyze(phantom(side).ravel())
     sampler = PartialDft2Operator(radial_mask(side, n_lines))
-    op = ComposedOperator(sampler, HaarBasis(side, levels))
+    op = ComposedOperator(sampler, basis)
     if not op.rows_orthonormal:
         raise InputError("phantom pipeline must have orthonormal rows")
     return ProblemInstance(

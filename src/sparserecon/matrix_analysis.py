@@ -43,7 +43,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InputError, SizeGuardError
-from .operators import DenseOperator, SensingOperator
+from .operators import DenseOperator, SensingOperator, _finite_matrix
+from .recon import _as_measurements
 
 MIN_SSQ_GUARD = 10_000_000
 _ZERO_EIG_TOL = 1e-14
@@ -56,12 +57,7 @@ def _as_matrix(h) -> np.ndarray:
         return h.matrix
     if isinstance(h, SensingOperator):
         raise InputError("exact matrix analysis needs an explicit dense matrix")
-    h = np.asarray(h, dtype=float)
-    if h.ndim != 2:
-        raise InputError("expected a 2-D matrix")
-    if not np.isfinite(h).all():
-        raise InputError("sensing matrix entries must be finite")
-    return h
+    return _finite_matrix(h)
 
 
 def _check_guard(m: int, r: int, guard: int) -> None:
@@ -78,6 +74,8 @@ def ssq(s, h) -> float:
     s = np.asarray(s, dtype=float)
     if s.shape != (h.shape[1],):
         raise InputError(f"s must have length {h.shape[1]}, got shape {s.shape}")
+    if not np.isfinite(s).all():
+        raise InputError("s must have finite entries")
     energy = float(s @ s)
     if energy == 0.0:
         raise InputError("ssq is undefined for the zero vector")
@@ -418,8 +416,10 @@ def verify_fixed_point(op: SensingOperator, y, s_star, r: int,
     zero vector, whichever is larger, which keeps the check meaningful both
     for exact fits (whole gradient ~ 0) and noisy ones.
     """
-    y = np.asarray(y, dtype=float)
+    y = _as_measurements(op, y)
     s_star = np.asarray(s_star, dtype=float)
+    if not np.isfinite(s_star).all():
+        raise InputError("s_star must have finite entries")
     nonzeros = np.flatnonzero(s_star)
     if nonzeros.size > r:
         raise InputError(f"point has {nonzeros.size} nonzeros, above level r={r}")

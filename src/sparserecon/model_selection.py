@@ -126,9 +126,7 @@ def exact_ml_bruteforce(op, y, r: int, guard: int = BRUTE_FORCE_GUARD) -> ParamE
     """
     dense, matrix = _operator_and_matrix(op)
     n, m = matrix.shape
-    y = np.asarray(y, dtype=float)
-    if y.shape != (n,):
-        raise InputError(f"y must have length {n}, got shape {y.shape}")
+    y = _as_measurements(dense, y)
     if not 0 <= r <= m:
         raise InputError(f"sparsity level r={r} outside [0, {m}]")
     if math.comb(m, r) > guard:

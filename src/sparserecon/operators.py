@@ -48,11 +48,22 @@ def _as_vector(v, length: int, name: str) -> np.ndarray:
     return v
 
 
+def _finite_matrix(matrix) -> np.ndarray:
+    """``matrix`` as a nonempty 2-D float array with finite entries."""
+    matrix = np.asarray(matrix, dtype=float)
+    if matrix.ndim != 2:
+        raise InputError("sensing matrix must be 2-D")
+    if matrix.size == 0:
+        raise InputError(f"sensing matrix is empty (shape {matrix.shape})")
+    if not np.isfinite(matrix).all():
+        raise InputError("sensing matrix entries must be finite")
+    return matrix
+
+
 @dataclass(frozen=True)
 class GramFactor:
     """Cholesky factor of H H^T, precomputed once so repeated solves are cheap."""
 
-    size: int
     lower: np.ndarray  # L with H H^T = L L^T
 
     def solve(self, b: np.ndarray) -> np.ndarray:
@@ -113,7 +124,7 @@ class SensingOperator(ABC):
         )
 
 
-def probe_rows_orthonormal(op: SensingOperator, tol: float = _ORTHO_TOL) -> bool:
+def probe_rows_orthonormal(op: SensingOperator) -> bool:
     """Check H H^T = I by probing.
 
     Uses the full basis for small N (exact check of every column of H H^T)
@@ -128,7 +139,7 @@ def probe_rows_orthonormal(op: SensingOperator, tol: float = _ORTHO_TOL) -> bool
         probes = rng.standard_normal((5, n))
     for w in probes:
         back = op.apply(op.apply_adjoint(w))
-        if np.max(np.abs(back - w)) > tol * max(1.0, np.max(np.abs(w))):
+        if np.max(np.abs(back - w)) > _ORTHO_TOL * max(1.0, np.max(np.abs(w))):
             return False
     return True
 
@@ -142,11 +153,7 @@ class DenseOperator(SensingOperator):
     """
 
     def __init__(self, matrix):
-        matrix = np.asarray(matrix, dtype=float)
-        if matrix.ndim != 2:
-            raise InputError("sensing matrix must be 2-D")
-        if not np.isfinite(matrix).all():
-            raise InputError("sensing matrix entries must be finite")
+        matrix = _finite_matrix(matrix)
         n_rows, n_cols = matrix.shape
         gram = matrix @ matrix.T
         orthonormal = bool(
@@ -164,7 +171,7 @@ class DenseOperator(SensingOperator):
                     "not a proper sensing matrix: H H^T is not positive definite "
                     "(rank-deficient rows)"
                 ) from exc
-            self.gram_factor = GramFactor(size=n_rows, lower=lower)
+            self.gram_factor = GramFactor(lower=lower)
 
     def apply(self, v) -> np.ndarray:
         v = _as_vector(v, self.n_cols, "v")
@@ -225,8 +232,6 @@ class PartialDctOperator(SensingOperator):
 
     def __init__(self, n_cols: int, rows):
         rows = _check_row_indices(rows, n_cols)
-        if rows.size > n_cols:
-            raise InputError("cannot select more rows than columns")
         super().__init__(rows.size, n_cols, True, "partial-dct")
         self._rows = rows
         if not probe_rows_orthonormal(self):
@@ -268,6 +273,21 @@ def _check_levels(side: int, levels) -> int:
     return levels
 
 
+def _haar_step(block: np.ndarray, inverse: bool) -> None:
+    """One Haar stage along the columns of ``block``, in place.
+
+    Analysis maps each column pair (a, b) to (a + b, a - b) / sqrt(2), sums
+    to the left half and differences to the right.  The butterfly is its
+    own inverse, so synthesis maps the two halves back to column pairs.
+    Row stages pass the transposed view.
+    """
+    half = block.shape[1] // 2
+    pairs = (block[:, 0::2], block[:, 1::2])
+    halves = (block[:, :half], block[:, half:])
+    (a, b), (sums, diffs) = (halves, pairs) if inverse else (pairs, halves)
+    sums[...], diffs[...] = (a + b) / _SQRT2, (a - b) / _SQRT2
+
+
 def haar_dwt_2d(image, levels=None) -> np.ndarray:
     """Orthonormal multilevel 2-D Haar analysis of a square image.
 
@@ -276,56 +296,38 @@ def haar_dwt_2d(image, levels=None) -> np.ndarray:
     the top-left corner).  With 1/sqrt(2) filters the transform is exactly
     orthogonal: energy is preserved and ``haar_idwt_2d`` inverts it.
     """
-    image = np.asarray(image, dtype=float)
-    if image.ndim != 2 or image.shape[0] != image.shape[1]:
-        raise InputError(f"expected a square 2-D image, got shape {image.shape}")
-    side = _check_square_pow2(image.shape[0])
-    levels = _check_levels(side, levels)
-    out = image.copy()
-    size = side
-    for _ in range(levels):
-        block = out[:size, :size]
-        lo = (block[:, 0::2] + block[:, 1::2]) / _SQRT2
-        hi = (block[:, 0::2] - block[:, 1::2]) / _SQRT2
-        block = np.hstack([lo, hi])
-        lo = (block[0::2, :] + block[1::2, :]) / _SQRT2
-        hi = (block[0::2, :] - block[1::2, :]) / _SQRT2
-        out[:size, :size] = np.vstack([lo, hi])
-        size //= 2
+    out = np.array(image, dtype=float)
+    if out.ndim != 2 or out.shape[0] != out.shape[1]:
+        raise InputError(f"expected a square 2-D image, got shape {out.shape}")
+    side = _check_square_pow2(out.shape[0])
+    for j in range(_check_levels(side, levels)):
+        block = out[:side >> j, :side >> j]
+        _haar_step(block, inverse=False)
+        _haar_step(block.T, inverse=False)
     return out.ravel()
 
 
 def haar_idwt_2d(coeffs, levels=None) -> np.ndarray:
     """Inverse of :func:`haar_dwt_2d`; returns the square image."""
-    coeffs = np.asarray(coeffs, dtype=float).ravel()
-    side = math.isqrt(coeffs.size)
-    if side * side != coeffs.size:
+    out = np.array(coeffs, dtype=float).ravel()
+    side = math.isqrt(out.size)
+    if side * side != out.size:
         raise InputError("coefficient vector length is not a perfect square")
     side = _check_square_pow2(side)
-    levels = _check_levels(side, levels)
-    out = coeffs.reshape(side, side).copy()
-    size = side >> (levels - 1)
-    while size <= side:
-        block = out[:size, :size]
-        half = size // 2
-        lo, hi = block[:half, :], block[half:, :]
-        step = np.empty((size, size))
-        step[0::2, :] = (lo + hi) / _SQRT2
-        step[1::2, :] = (lo - hi) / _SQRT2
-        lo, hi = step[:, :half].copy(), step[:, half:].copy()
-        step[:, 0::2] = (lo + hi) / _SQRT2
-        step[:, 1::2] = (lo - hi) / _SQRT2
-        out[:size, :size] = step
-        size *= 2
+    out = out.reshape(side, side)
+    for j in reversed(range(_check_levels(side, levels))):
+        block = out[:side >> j, :side >> j]
+        _haar_step(block.T, inverse=True)
+        _haar_step(block, inverse=True)
     return out
 
 
 class HaarBasis:
-    """Orthonormal 2-D Haar synthesis/analysis pair on flattened vectors."""
+    """Orthonormal full-depth 2-D Haar synthesis/analysis pair on flattened vectors."""
 
-    def __init__(self, side: int, levels=None):
+    def __init__(self, side: int):
         self.side = _check_square_pow2(side)
-        self.levels = _check_levels(self.side, levels)
+        self.levels = _check_levels(self.side, None)
         self.size = self.side * self.side
 
     def synthesize(self, coeffs) -> np.ndarray:
@@ -365,21 +367,14 @@ class PartialDft2Operator(SensingOperator):
         if not mask.any():
             raise InputError("mask selects no frequencies")
         side = mask.shape[0]
-        self_conj, pairs, seen = [], [], set()
-        for k, l in np.argwhere(mask):
-            k, l = int(k), int(l)
-            conj = ((-k) % side, (-l) % side)
-            rep = min((k, l), conj)
-            if rep in seen:
-                continue
-            seen.add(rep)
-            if conj == (k, l):
-                self_conj.append(rep)
-            else:
-                pairs.append(rep)
-        self._self = np.array(sorted(self_conj), dtype=int).reshape(-1, 2)
-        self._pairs = np.array(sorted(pairs), dtype=int).reshape(-1, 2)
-        n_rows = len(self._self) + 2 * len(self._pairs)
+        # frequency (k, l) has flat index k * side + l; each conjugate pair is
+        # keyed by its smaller flat index, which is also its lexicographic first
+        selected = np.flatnonzero(mask)
+        keys = np.unique(np.minimum(selected, _conjugate(selected, side)))
+        self_conj = keys == _conjugate(keys, side)
+        self._self = keys[self_conj]
+        self._pairs = keys[~self_conj]
+        n_rows = self._self.size + 2 * self._pairs.size
         super().__init__(n_rows, side * side, True, "partial-dft2")
         self.side = side
         if not probe_rows_orthonormal(self):
@@ -387,27 +382,27 @@ class PartialDft2Operator(SensingOperator):
 
     def apply(self, v) -> np.ndarray:
         v = _as_vector(v, self.n_cols, "v")
-        spectrum = np.fft.fft2(v.reshape(self.side, self.side)) / self.side
-        parts = []
-        if len(self._self):
-            parts.append(spectrum[self._self[:, 0], self._self[:, 1]].real)
-        if len(self._pairs):
-            z = spectrum[self._pairs[:, 0], self._pairs[:, 1]]
-            parts.append(_SQRT2 * z.real)
-            parts.append(_SQRT2 * z.imag)
-        return np.concatenate(parts)
+        spectrum = (np.fft.fft2(v.reshape(self.side, self.side)) / self.side).ravel()
+        z = spectrum[self._pairs]
+        return np.concatenate(
+            [spectrum[self._self].real, _SQRT2 * z.real, _SQRT2 * z.imag]
+        )
 
     def apply_adjoint(self, w) -> np.ndarray:
         w = _as_vector(w, self.n_rows, "w")
-        coeffs = np.zeros((self.side, self.side), dtype=complex)
-        n_self, n_pairs = len(self._self), len(self._pairs)
-        if n_self:
-            coeffs[self._self[:, 0], self._self[:, 1]] = w[:n_self]
-        if n_pairs:
-            re = w[n_self:n_self + n_pairs]
-            im = w[n_self + n_pairs:]
-            coeffs[self._pairs[:, 0], self._pairs[:, 1]] = _SQRT2 * (re + 1j * im)
-        return (self.side * np.fft.ifft2(coeffs).real).ravel()
+        n_self, n_pairs = self._self.size, self._pairs.size
+        re, im = w[n_self:n_self + n_pairs], w[n_self + n_pairs:]
+        coeffs = np.zeros(self.n_cols, dtype=complex)
+        coeffs[self._self] = w[:n_self]
+        coeffs[self._pairs] = _SQRT2 * (re + 1j * im)
+        image = np.fft.ifft2(coeffs.reshape(self.side, self.side))
+        return (self.side * image.real).ravel()
+
+
+def _conjugate(flat: np.ndarray, side: int) -> np.ndarray:
+    """Flat index of the conjugate frequency (-k mod side, -l mod side)."""
+    k, l = np.divmod(flat, side)
+    return (-k % side) * side + (-l % side)
 
 
 class ComposedOperator(SensingOperator):

@@ -138,6 +138,35 @@ def test_exit_code_zero_samples(tmp_path, toy_files, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["ecme", "--r", "1"], ["analyze", "--r-max", "1"],
+    ["analyze", "--r-max", "1", "--sampled", "--samples", "50"],
+], ids=["ecme", "analyze-exact", "analyze-sampled"])
+def test_exit_code_empty_matrix(tmp_path, toy_files, command, capsys):
+    _, y_path = toy_files
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    args = [command[0], "--matrix", str(empty), *command[1:]]
+    if command[0] == "ecme":
+        args += ["--y", y_path]
+    with pytest.warns(UserWarning, match="no data"):
+        assert main(args) == 2
+    assert "empty" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("r_max", ["0", "4"])
+@pytest.mark.parametrize("mode", [[], ["--sampled", "--samples", "50"]],
+                         ids=["exact", "sampled"])
+def test_exit_code_r_max_outside_range(tmp_path, toy_files, r_max, mode, capsys):
+    matrix_path, _ = toy_files
+    out = tmp_path / "bounds.json"
+    code = main(["analyze", "--matrix", matrix_path, "--r-max", r_max, *mode,
+                 "--out", str(out)])
+    assert code == 2
+    assert "r_max" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exit_code_size_guard(toy_files, capsys):
     matrix_path, _ = toy_files
     code = main(["analyze", "--matrix", matrix_path, "--r-max", "2",

@@ -313,6 +313,18 @@ def test_non_finite_matrix_rejected(entry):
             measure(H)
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+def test_non_finite_vector_rejected(entry, toy_matrix, toy_operator):
+    bad = np.array([1.0, entry, 0.0])
+    with pytest.raises(InputError, match="finite"):
+        ssq(bad, toy_matrix)
+    y = np.array([1.0, 1.0])
+    with pytest.raises(InputError, match="finite"):
+        verify_fixed_point(toy_operator, np.array([entry, 1.0]), np.zeros(3), 1)
+    with pytest.raises(InputError, match="finite"):
+        verify_fixed_point(toy_operator, y, bad, 2)
+
+
 # ------------------------------------- batched kernel against the loop oracle
 #
 # The reference implementations below evaluate one support at a time, in

@@ -133,6 +133,12 @@ def test_bruteforce_guard():
 
 # --------------------------------------------------------------- golden search
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+def test_bruteforce_non_finite_measurements_rejected(entry, toy_operator):
+    with pytest.raises(InputError, match="finite"):
+        exact_ml_bruteforce(toy_operator, np.array([1.0, entry]), 1)
+
+
 def test_golden_section_unimodal_exact():
     calls = []
 

@@ -1,7 +1,10 @@
 """Operator surface: apply/adjoint/gram_solve contracts for every kind."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sparserecon import (
     ComposedOperator,
@@ -194,7 +197,94 @@ def test_haar_validation():
         haar_idwt_2d(np.zeros(12))  # not a square length
 
 
+# Reference transforms: one stage per level, built with hstack/vstack and
+# explicit copies.  The library's in-place butterflies must match them bit
+# for bit.
+
+def _oracle_haar_dwt(image, levels):
+    out = np.array(image, dtype=float)
+    size = out.shape[0]
+    for _ in range(levels):
+        block = out[:size, :size]
+        lo = (block[:, 0::2] + block[:, 1::2]) / math.sqrt(2.0)
+        hi = (block[:, 0::2] - block[:, 1::2]) / math.sqrt(2.0)
+        block = np.hstack([lo, hi])
+        lo = (block[0::2, :] + block[1::2, :]) / math.sqrt(2.0)
+        hi = (block[0::2, :] - block[1::2, :]) / math.sqrt(2.0)
+        out[:size, :size] = np.vstack([lo, hi])
+        size //= 2
+    return out.ravel()
+
+
+def _oracle_haar_idwt(coeffs, levels):
+    side = math.isqrt(coeffs.size)
+    out = coeffs.reshape(side, side).copy()
+    size = side >> (levels - 1)
+    while size <= side:
+        block = out[:size, :size]
+        half = size // 2
+        lo, hi = block[:half, :], block[half:, :]
+        step = np.empty((size, size))
+        step[0::2, :] = (lo + hi) / math.sqrt(2.0)
+        step[1::2, :] = (lo - hi) / math.sqrt(2.0)
+        lo, hi = step[:, :half].copy(), step[:, half:].copy()
+        step[:, 0::2] = (lo + hi) / math.sqrt(2.0)
+        step[:, 1::2] = (lo - hi) / math.sqrt(2.0)
+        out[:size, :size] = step
+        size *= 2
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(log_side=st.integers(1, 7), depth=st.integers(0, 7), seed=st.integers(0, 2**32 - 1))
+def test_haar_matches_oracle_bit_for_bit(log_side, depth, seed):
+    side = 1 << log_side
+    levels = min(depth, log_side)  # 0 stands for the default, full depth
+    full = levels or log_side
+    rng = np.random.default_rng(seed)
+    image = rng.standard_normal((side, side))
+    coeffs = rng.standard_normal(side * side)
+    assert np.array_equal(haar_dwt_2d(image, levels or None),
+                          _oracle_haar_dwt(image, full))
+    assert np.array_equal(haar_idwt_2d(coeffs, levels or None),
+                          _oracle_haar_idwt(coeffs, full))
+
+
 # --------------------------------------------------------------- partial DFT2
+
+def _oracle_dft2_pairing(mask):
+    """Self-conjugate frequencies and pair representatives as flat indices,
+    found one selected frequency at a time with a set of seen pairs."""
+    side = mask.shape[0]
+    self_conj, pairs, seen = [], [], set()
+    for k, l in np.argwhere(mask):
+        k, l = int(k), int(l)
+        conj = ((-k) % side, (-l) % side)
+        rep = min((k, l), conj)
+        if rep in seen:
+            continue
+        seen.add(rep)
+        (self_conj if conj == (k, l) else pairs).append(rep[0] * side + rep[1])
+    return sorted(self_conj), sorted(pairs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(side=st.integers(1, 33), density=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_dft2_pairing_matches_oracle_and_is_adjoint(side, density, seed):
+    rng = np.random.default_rng(seed)
+    mask = rng.random((side, side)) < density
+    mask[rng.integers(side), rng.integers(side)] = True
+    op = PartialDft2Operator(mask)
+    oracle_self, oracle_pairs = _oracle_dft2_pairing(mask)
+    assert op._self.tolist() == oracle_self
+    assert op._pairs.tolist() == oracle_pairs
+    v = rng.standard_normal(op.n_cols)
+    w = rng.standard_normal(op.n_rows)
+    lhs, rhs = float(op.apply(v) @ w), float(v @ op.apply_adjoint(w))
+    assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs), abs(rhs))
+    assert np.abs(op.apply(op.apply_adjoint(w)) - w).max() <= 1e-10
+
+
 
 def test_dft2_full_mask_invertible():
     op = PartialDft2Operator(np.ones((4, 4), dtype=bool))
