@@ -9,18 +9,30 @@ methods on the result dataclasses.
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 
 from .errors import InputError
 
 
-def load_matrix_csv(path) -> np.ndarray:
+def _load_csv(path, what: str, **kwargs) -> np.ndarray:
+    """``np.loadtxt`` of a comma-separated file, read errors as InputError.
+
+    An empty file loads as an empty array without numpy's "no data"
+    warning; the caller's shape checks report it as one clean error.
+    """
     try:
-        matrix = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                    UserWarning)
+            return np.loadtxt(path, delimiter=",", dtype=float, **kwargs)
     except (OSError, ValueError) as exc:
-        raise InputError(f"could not read matrix CSV {path}: {exc}") from exc
-    return matrix
+        raise InputError(f"could not read {what} CSV {path}: {exc}") from exc
+
+
+def load_matrix_csv(path) -> np.ndarray:
+    return _load_csv(path, "matrix", ndmin=2)
 
 
 def save_matrix_csv(path, matrix) -> None:
@@ -29,11 +41,7 @@ def save_matrix_csv(path, matrix) -> None:
 
 def load_vector_csv(path) -> np.ndarray:
     """Read a vector; accepts one value per line or a single CSV row."""
-    try:
-        data = np.loadtxt(path, delimiter=",", dtype=float)
-    except (OSError, ValueError) as exc:
-        raise InputError(f"could not read vector CSV {path}: {exc}") from exc
-    data = np.atleast_1d(data)
+    data = np.atleast_1d(_load_csv(path, "vector"))
     if data.ndim != 1:
         if 1 in data.shape:
             data = data.ravel()

@@ -13,7 +13,7 @@ and owns validation, the trace, the stopping test and the branch record.
 All measurement-space images H s and (H H^T)^{-1} H s are carried in
 ``DoreState`` and updated by linear combination, so one outer iteration
 costs 2 operator applies, 2 gram solves and 1 adjoint apply on top of two
-vector sorts -- slightly under twice the cost of a plain step.
+O(m) hard thresholds -- slightly under twice the cost of a plain step.
 """
 
 from __future__ import annotations

@@ -46,20 +46,42 @@ DEFAULT_MAX_ITER = 50_000
 def hard_threshold(x, r: int) -> np.ndarray:
     """Keep the r largest-magnitude entries of x, zero out the rest.
 
-    Ties in magnitude are broken toward the lower index (stable sort), so
-    the output is deterministic across platforms.  Kept entries are copied
-    verbatim; the rest are literal zeros.
+    The r-th largest magnitude is found by one O(m) partition selection.
+    Every entry strictly above it is kept; ties at it go to the lowest
+    indices, so the output is deterministic across platforms.  NaN ranks
+    below every number and is kept only when fewer than r entries are not
+    NaN.  Kept entries are copied verbatim; the rest are literal zeros.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise InputError("hard_threshold expects a 1-D vector")
     if not 0 <= r <= x.size:
         raise InputError(f"sparsity level r={r} outside [0, {x.size}]")
-    out = np.zeros_like(x)
     if r == 0:
-        return out
-    keep = np.argsort(-np.abs(x), kind="stable")[:r]
-    out[keep] = x[keep]
+        return np.zeros_like(x)
+    if r == x.size:
+        return x.copy()
+    neg = np.abs(x)
+    np.negative(neg, out=neg)
+    # t = the r-th smallest of -|x|.  A partition, like a sort, places NaN
+    # after every number.  The method form on a copy skips np.partition's
+    # dispatch, about 1 us of a 5-8 us call on the short vectors of ADORE.
+    part = neg.copy()
+    part.partition(r - 1)
+    t = part[r - 1]
+    if t != t:
+        # Fewer than r numbers: keep all of them, then the lowest-index NaNs.
+        keep = neg == neg
+        nan = np.flatnonzero(~keep)
+        keep[nan[: r - (x.size - nan.size)]] = True
+    else:
+        # Keep every magnitude >= |t|, then drop the highest-index ties at t.
+        keep = neg <= t
+        extra = np.count_nonzero(keep) - r
+        if extra:
+            keep[np.flatnonzero(neg == t)[-extra:]] = False
+    out = np.zeros(x.size)
+    np.copyto(out, x, where=keep)
     return out
 
 

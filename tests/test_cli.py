@@ -1,6 +1,11 @@
 """Command-line interface: file round trips and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +17,8 @@ from sparserecon.dataio import (
     save_matrix_csv,
     save_vector_csv,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture()
@@ -149,9 +156,27 @@ def test_exit_code_empty_matrix(tmp_path, toy_files, command, capsys):
     args = [command[0], "--matrix", str(empty), *command[1:]]
     if command[0] == "ecme":
         args += ["--y", y_path]
-    with pytest.warns(UserWarning, match="no data"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert main(args) == 2
     assert "empty" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze", "--matrix", "{empty}", "--r-max", "1"],
+    ["ecme", "--matrix", "{matrix}", "--y", "{empty}", "--r", "1"],
+], ids=["analyze-empty-matrix", "ecme-empty-y"])
+def test_empty_csv_gives_one_error_line(tmp_path, toy_files, command):
+    matrix_path, _ = toy_files
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    args = [arg.format(empty=empty, matrix=matrix_path) for arg in command]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-m", "sparserecon.cli", *args],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), done.stderr
 
 
 @pytest.mark.parametrize("r_max", ["0", "4"])

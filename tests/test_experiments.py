@@ -9,8 +9,11 @@ from sparserecon import (
     BenchConfig,
     InputError,
     PartialDft2Operator,
+    StoppingRule,
     benchmark_sweep,
+    dore_run,
     haar_dwt_2d,
+    iht_run,
     parse_bench_config,
     phantom,
     psnr,
@@ -185,6 +188,22 @@ def test_phantom_problem_composition():
     # measurements really are the operator applied to the truth
     assert np.allclose(problem.y, problem.operator.apply(problem.truth),
                        atol=1e-12)
+
+
+@pytest.mark.parametrize("solver, iterations", [(iht_run, 504), (dore_run, 154)],
+                         ids=["iht", "dore"])
+def test_phantom_reference_iteration_counts(solver, iterations):
+    # The side-64, 28-line reference cell under the default stopping rule,
+    # as the benchmark runs it.  The counts are exact: a change to any
+    # iterate, threshold tie or stopping decision moves them.
+    problem = phantom_problem(64, 28)
+    result = solver(problem.operator, problem.y, problem.truth_support_size,
+                    stop=StoppingRule())
+    assert result.iterations == iterations
+    assert result.converged
+    basis = problem.operator.basis
+    assert psnr(basis.synthesize(problem.truth),
+                basis.synthesize(result.estimate.s)) > 100.0
 
 
 # --------------------------------------------------------------------- config

@@ -116,6 +116,38 @@ def test_adjoint_identity_all_kinds(toy_operator, bench_dct_operator):
             assert abs(lhs - rhs) <= 1e-10 * scale
 
 
+def _draw_operator(kind, data, rng):
+    """A random operator of one kind; shapes and row selections drawn by
+    hypothesis, entries and masks from the seeded generator."""
+    if kind == "dense":
+        n_rows = data.draw(st.integers(1, 12), label="n_rows")
+        n_cols = data.draw(st.integers(n_rows + 2, 26), label="n_cols")
+        return DenseOperator(rng.standard_normal((n_rows, n_cols)))
+    if kind == "identity":
+        return IdentityOperator(data.draw(st.integers(1, 64), label="n"))
+    if kind == "dct":
+        n_cols = data.draw(st.integers(1, 64), label="n_cols")
+        rows = data.draw(st.lists(st.integers(0, n_cols - 1), min_size=1,
+                                  max_size=n_cols, unique=True), label="rows")
+        return PartialDctOperator(n_cols, rows)
+    side = 2 ** data.draw(st.integers(1, 5), label="log_side")
+    mask = rng.random((side, side)) < data.draw(st.floats(0.0, 1.0), label="density")
+    mask[rng.integers(side), rng.integers(side)] = True
+    return ComposedOperator(PartialDft2Operator(mask), HaarBasis(side))
+
+
+@pytest.mark.parametrize("kind", ["dense", "identity", "dct", "dft2_haar"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_adjoint_identity_property(kind, data, seed):
+    rng = np.random.default_rng(seed)
+    op = _draw_operator(kind, data, rng)
+    v = rng.standard_normal(op.n_cols)
+    w = rng.standard_normal(op.n_rows)
+    lhs, rhs = float(op.apply(v) @ w), float(v @ op.apply_adjoint(w))
+    assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs), abs(rhs))
+
+
 def test_rows_orthonormal_flag_matches_probe():
     rng = np.random.default_rng(4)
     dense = DenseOperator(rng.standard_normal((6, 12)))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sparserecon import (
     DenseOperator,
@@ -53,6 +54,35 @@ def test_hard_threshold_validation():
         hard_threshold([1.0, 2.0], -1)
     with pytest.raises(InputError):
         hard_threshold([1.0, 2.0], 3)
+
+
+def _oracle_hard_threshold(x, r):
+    """The stable full-argsort threshold: ties to the lower index, NaN last."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    if r == 0:
+        return out
+    keep = np.argsort(-np.abs(x), kind="stable")[:r]
+    out[keep] = x[keep]
+    return out
+
+
+# Few distinct magnitudes, so most vectors have ties at the r-th largest.
+_THRESHOLD_ENTRIES = st.sampled_from(
+    [-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, -0.0, np.nan, np.inf, -np.inf])
+
+
+@st.composite
+def _threshold_cases(draw):
+    x = np.array(draw(st.lists(_THRESHOLD_ENTRIES, min_size=1, max_size=40)))
+    return x, draw(st.integers(0, x.size))
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_threshold_cases())
+def test_hard_threshold_matches_stable_sort_oracle(case):
+    x, r = case
+    assert hard_threshold(x, r).tobytes() == _oracle_hard_threshold(x, r).tobytes()
 
 
 def test_support_examples():
