@@ -19,6 +19,7 @@ from .dataio import (
     load_matrix_csv,
     load_vector_csv,
     save_json,
+    save_text,
     save_vector_csv,
 )
 from .errors import InputError, SizeGuardError
@@ -32,7 +33,7 @@ from .experiments import (
     report_csv_row,
     run_method,
 )
-from .matrix_analysis import certify, min_ssq_sampled, ric_sampled
+from .matrix_analysis import MIN_SSQ_GUARD, certify, min_ssq_sampled, ric_sampled
 from .operators import DenseOperator, HaarBasis
 from .recon import StoppingRule
 
@@ -70,8 +71,8 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--sampled", action="store_true",
                       help="sampled non-exact bounds instead of a certificate")
     cmd.add_argument("--samples", type=int, default=10_000)
-    cmd.add_argument("--guard", type=int, default=None,
-                     help="override the enumeration guard (exact mode)")
+    cmd.add_argument("--guard", type=int, default=MIN_SSQ_GUARD,
+                     help="enumeration guard (exact mode; default %(default)s)")
     cmd.add_argument("--out", help="write the certificate JSON here")
 
     cmd = sub.add_parser("phantom", help="desk-scale tomographic reconstruction")
@@ -141,10 +142,7 @@ def _cmd_analyze(args) -> int:
         print(f"sampled bounds for r=1..{args.r_max} "
               f"({args.samples} supports per level)")
     else:
-        if args.guard is not None:
-            cert = certify(matrix, args.r_max, guard=args.guard)
-        else:
-            cert = certify(matrix, args.r_max)
+        cert = certify(matrix, args.r_max, guard=args.guard)
         payload = {"mode": "exact", "exact": True, **cert.to_json_dict()}
         spark_text = str(cert.spark) if cert.spark is not None \
             else f">= {cert.spark_min} (exact search over guard)"
@@ -199,8 +197,7 @@ def _cmd_bench(args) -> int:
     lines = [CSV_HEADER] + [report_csv_row(rep) for rep in reports]
     print("\n".join(lines))
     if args.out_csv:
-        with open(args.out_csv, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(lines) + "\n")
+        save_text(args.out_csv, "\n".join(lines) + "\n")
     if args.out_json:
         save_json(args.out_json, {
             "config": {

@@ -3,7 +3,8 @@
 Matrices and vectors travel as headerless comma-separated values with '.'
 as the decimal mark (row-major for matrices, one value per line for
 vectors).  Results serialize to JSON through the ``to_json_dict``
-methods on the result dataclasses.
+methods on the result dataclasses.  Read and write failures raise
+``InputError``.
 """
 
 from __future__ import annotations
@@ -31,12 +32,23 @@ def _load_csv(path, what: str, **kwargs) -> np.ndarray:
         raise InputError(f"could not read {what} CSV {path}: {exc}") from exc
 
 
+def _save(path, what: str, write) -> None:
+    """Open ``path`` for writing and hand it to ``write``; write errors as
+    InputError."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            write(handle)
+    except OSError as exc:
+        raise InputError(f"could not write {what} {path}: {exc}") from exc
+
+
 def load_matrix_csv(path) -> np.ndarray:
     return _load_csv(path, "matrix", ndmin=2)
 
 
 def save_matrix_csv(path, matrix) -> None:
-    np.savetxt(path, np.asarray(matrix, dtype=float), delimiter=",")
+    matrix = np.asarray(matrix, dtype=float)
+    _save(path, "matrix CSV", lambda handle: np.savetxt(handle, matrix, delimiter=","))
 
 
 def load_vector_csv(path) -> np.ndarray:
@@ -51,10 +63,13 @@ def load_vector_csv(path) -> np.ndarray:
 
 
 def save_vector_csv(path, vector) -> None:
-    np.savetxt(path, np.asarray(vector, dtype=float).ravel(), delimiter=",")
+    vector = np.asarray(vector, dtype=float).ravel()
+    _save(path, "vector CSV", lambda handle: np.savetxt(handle, vector, delimiter=","))
+
+
+def save_text(path, text: str) -> None:
+    _save(path, "file", lambda handle: handle.write(text))
 
 
 def save_json(path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+    save_text(path, json.dumps(payload, indent=2) + "\n")

@@ -11,16 +11,15 @@ supports A of lambda_min(H_A^T (H H^T)^{-1} H_A), which this module
 enumerates exactly (with a hard guard on the number of supports).  The
 restricted isometry constant is computed the same way from H^T H.
 
-One private kernel serves all four support searches (exact and sampled
-min-SSQ and RIC): it forms the m x m matrix Q = H^T (H H^T)^{-1} H, or
-H^T H, once, streams the supports in chunks of ``_CHUNK``, gathers each
-chunk's r x r principal blocks into one stacked array and takes their
-eigenvalues in one ``eigvalsh`` call.  Beyond the m x m form, memory is
-bounded per chunk.  Eigenvalue work happens only on the r x r blocks.
-
-The spark search screens each chunk of column subsets with one stacked
-SVD and runs its documented pivoted-QR rank test only on the subsets the
-screen cannot clear, so it returns what that test alone would.
+One private eigen kernel serves all five searches (exact and sampled
+min-SSQ and RIC, and the spark screen): on an m x m form, Q = H^T (H H^T)^{-1} H
+or G = H^T H, formed once, it gathers the r x r principal blocks of a
+chunk of ``_CHUNK`` supports into one stacked array and takes their
+eigenvalues in one ``eigvalsh`` call, so memory beyond the form is bounded
+per chunk.  The spark search screens column subsets S by
+lambda_min(G_S) = sigma_min(H_S)^2, with a margin for the rounding of G
+and ``eigvalsh``, and runs its pivoted-QR rank test only on the subsets
+the screen cannot clear, so it returns what that test alone would.
 
 ``certify`` bundles the measures into a machine-readable certificate with
 two recovery flags per sparsity level:
@@ -106,23 +105,26 @@ def _sampled_supports(m: int, r: int, n_samples: int, seed: int):
     return (np.sort(rng.choice(m, size=r, replace=False)) for _ in range(n_samples))
 
 
+def _block_eigs(form: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues, shape (chunk, r), of the principal blocks of an
+    m x m form at the (chunk, r) supports ``idx``, from one stacked call."""
+    m = form.shape[0]
+    return np.linalg.eigvalsh(form.ravel()[idx[:, :, None] * m + idx[:, None, :]])
+
+
 def _best_support(form: np.ndarray, supports, r: int, score,
                   stop_at: float = -np.inf) -> tuple[float, tuple[int, ...]]:
     """Minimise ``score`` over the r x r principal blocks of an m x m form.
 
-    Supports stream in chunks of ``_CHUNK``; each chunk's blocks are gathered
-    into one (chunk, r, r) array and take one stacked ``eigvalsh`` call.
-    ``score`` maps the ascending eigenvalues, shape (chunk, r), to one value
-    per support.  Ties go to the first support in stream order.  The search
-    stops at the first support scoring at or below ``stop_at``, which is
-    then the one returned.
+    Supports stream in chunks of ``_CHUNK``; each chunk's eigenvalues come
+    from ``_block_eigs``.  ``score`` maps the ascending eigenvalues, shape
+    (chunk, r), to one value per support.  Ties go to the first support in
+    stream order.  The search stops at the first support scoring at or below
+    ``stop_at``, which is then the one returned.
     """
-    m = form.shape[0]
-    entries = form.ravel()
     best, best_support = np.inf, ()
     for idx in _support_chunks(supports, r):
-        blocks = entries[idx[:, :, None] * m + idx[:, None, :]]
-        values = score(np.linalg.eigvalsh(blocks))
+        values = score(_block_eigs(form, idx))
         hits = np.flatnonzero(values <= stop_at)
         pos = hits[0] if hits.size else np.argmin(values)
         if values[pos] < best:
@@ -222,12 +224,12 @@ def ric_sampled(h, r: int, n_samples: int = 10_000, seed: int = 0
 def spark(h, guard: int = MIN_SSQ_GUARD) -> int:
     """Smallest number of linearly dependent columns (N+1 if none by size N).
 
-    Rank tests use column-pivoted QR with tolerance 1e-10 * ||H||_2.
+    Rank tests use column-pivoted QR with tolerance tol = 1e-10 * ||H||_2.
     Searches subset sizes in increasing order and stops at the first
-    dependent subset found.  Each chunk of subsets is screened first by one
-    stacked SVD: sigma_min(A) <= min |r_ii| for any QR factorisation of A,
-    so a subset whose smallest singular value exceeds twice the tolerance
-    cannot fail the QR test, and only the others are factorised.
+    dependent subset found.  Subsets S are screened first by lambda_min(G_S)
+    of G = H^T H: it is sigma_min(H_S)^2, and sigma_min(A) <= min |r_ii| for
+    any QR of A, so a subset whose lambda_min(G_S) exceeds (2 tol)^2 plus a
+    bound on its rounding error cannot fail the QR test and is not factorised.
     """
     h = _as_matrix(h)
     n, m = h.shape
@@ -237,12 +239,18 @@ def spark(h, guard: int = MIN_SSQ_GUARD) -> int:
             f"spark search would enumerate {total} column subsets, above the "
             f"guard of {guard}"
         )
-    tol = 1e-10 * np.linalg.norm(h, 2)
+    norm = np.linalg.norm(h, 2)
+    tol = 1e-10 * norm
+    gram = h.T @ h
     for k in range(1, n + 1):
+        # Margin: forming G rounds entry (i, j) by <= gamma_n |h_i| |h_j|, with
+        # gamma_n ~ n eps / 2, so ||G^_S - G_S||_2 <= gamma_n ||H_S||_F^2 <=
+        # k gamma_n ||H||^2; eigvalsh adds a backward error <= p(k) eps ||G_S||,
+        # p(k) ~ 3 k^2 <= 3 n k.  By Weyl the computed lambda_min(G_S) is within
+        # (n k / 2 + 3 n k) eps ||H||^2 < 4 n k eps ||H||^2 of sigma_min(H_S)^2.
+        screen = (2.0 * tol) ** 2 + 4.0 * n * k * np.finfo(float).eps * norm ** 2
         for idx in _support_chunks(combinations(range(m), k), k):
-            stacked = h[:, idx].transpose(1, 0, 2)
-            smallest = np.linalg.svd(stacked, compute_uv=False)[:, -1]
-            for subset in idx[smallest <= 2.0 * tol]:
+            for subset in idx[_block_eigs(gram, idx)[:, 0] <= screen]:
                 r_factor = scipy.linalg.qr(h[:, subset], mode="r", pivoting=True)[0]
                 if np.count_nonzero(np.abs(np.diag(r_factor)) > tol) < k:
                     return k
@@ -348,35 +356,25 @@ def certify(h, r_max: int, guard: int = MIN_SSQ_GUARD) -> MatrixCertificate:
     n, m = h.shape
     if not 1 <= r_max <= m:
         raise InputError(f"r_max={r_max} outside [1, {m}]")
-    rho_cache: dict[int, float] = {}
+    # each min-SSQ level once, ascending: 1..r_max, then the 2r <= N above it
+    levels = {*range(1, r_max + 1), *(2 * r for r in range(1, r_max + 1) if 2 * r <= n)}
+    rho: dict[int, float] = {}
     per_r = []
-    for r in range(1, r_max + 1):
-        rho, rho_support = min_ssq(h, r, guard)
-        rho_cache[r] = rho
-        gamma, gamma_support = ric(h, r, guard)
-        per_r.append(SparsityMeasures(r, rho, rho_support, gamma, gamma_support))
+    for k in sorted(levels):
+        rho[k], rho_support = min_ssq(h, k, guard)
+        if k <= r_max:
+            per_r.append(SparsityMeasures(k, rho[k], rho_support, *ric(h, k, guard)))
     flags = []
     for r in range(1, r_max + 1):
-        two_r = 2 * r
-        if two_r > n:
-            rho_2r = 0.0
-        elif two_r in rho_cache:
-            rho_2r = rho_cache[two_r]
-        else:
-            rho_2r = min_ssq(h, min(two_r, m), guard)[0]
-            rho_cache[two_r] = rho_2r
+        rho_2r = rho.get(2 * r, 0.0)  # absent only when 2r > N
         flags.append(RecoveryFlags(r, rho_2r, rho_2r > 0.0, rho_2r > 0.5))
     try:
-        exact_spark = spark(h, guard)
+        spark_min = exact_spark = spark(h, guard)
         known_urp: bool | None = exact_spark == n + 1
     except SizeGuardError:
         exact_spark = None
         known_urp = None
-    spark_min = 1 + max(
-        (r for r, rho in rho_cache.items() if rho > 0.0), default=0
-    )
-    if exact_spark is not None:
-        spark_min = exact_spark
+        spark_min = 1 + max((k for k, value in rho.items() if value > 0.0), default=0)
     return MatrixCertificate(
         n_rows=n,
         n_cols=m,

@@ -231,3 +231,25 @@ def test_bench_subcommand(tmp_path, capsys):
 
 def test_bench_missing_config(capsys):
     assert main(["bench", "--config", "/nonexistent/path.cfg"]) == 2
+
+
+@pytest.mark.parametrize("command, flag", [
+    (["ecme", "--matrix", "{matrix}", "--y", "{y}", "--r", "1"], "--out"),
+    (["ecme", "--matrix", "{matrix}", "--y", "{y}", "--r", "1"], "--out-signal"),
+    (["analyze", "--matrix", "{matrix}", "--r-max", "1"], "--out"),
+    (["phantom", "--side", "32", "--lines", "10", "--method", "mn"], "--out"),
+    (["bench", "--config", "{config}"], "--out-csv"),
+    (["bench", "--config", "{config}"], "--out-json"),
+], ids=["ecme-out", "ecme-out-signal", "analyze-out", "phantom-out",
+        "bench-out-csv", "bench-out-json"])
+def test_unwritable_output_gives_one_error_line(tmp_path, toy_files, command, flag,
+                                                capsys):
+    matrix_path, y_path = toy_files
+    config = tmp_path / "bench.cfg"
+    config.write_text("side = 32\nlines = 10\nmethods = mn\n")
+    missing = tmp_path / "missing" / "out.file"
+    args = [arg.format(matrix=matrix_path, y=y_path, config=config) for arg in command]
+    assert main([*args, flag, str(missing)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: could not write"), lines
+    assert not missing.parent.exists()

@@ -1,5 +1,6 @@
 """Exact matrix measures: SSQ, RIC, spark, certificates, stationarity."""
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -8,6 +9,12 @@ import scipy.linalg
 from hypothesis import assume, given, settings, strategies as st
 
 from sparserecon import matrix_analysis
+from sparserecon.matrix_analysis import (
+    MIN_SSQ_GUARD,
+    MatrixCertificate,
+    RecoveryFlags,
+    SparsityMeasures,
+)
 from sparserecon import (
     DenseOperator,
     InputError,
@@ -398,14 +405,23 @@ def _attained(h, measured, support_set, value):
 
 
 @st.composite
-def _sensing_matrices(draw):
-    """Gaussian, integer with duplicate or dependent columns, or DCT rows."""
-    kind = draw(st.sampled_from(["gaussian", "integer", "dct"]))
+def _sensing_matrices(draw, kinds=("gaussian", "integer", "dct", "near")):
+    """Gaussian, integer with duplicate or dependent columns, DCT rows, or
+    Gaussian with one column a combination of two others plus delta * noise,
+    delta log-uniform in [1e-13, 1e-6]: the spark screen's margin lies there."""
+    kind = draw(st.sampled_from(kinds))
     n = draw(st.integers(2, 6))
     m = draw(st.integers(n + 1, n + 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "gaussian":
         return rng.standard_normal((n, m))
+    if kind == "near":
+        h = rng.standard_normal((n, m))
+        target, first, second = rng.choice(m, size=3, replace=False)
+        h[:, target] = rng.standard_normal() * h[:, first] \
+            + rng.standard_normal() * h[:, second] \
+            + 10.0 ** rng.uniform(-13, -6) * rng.standard_normal(n)
+        return h
     if kind == "dct":
         return partial_dct_matrix(m, np.sort(rng.choice(m, size=n, replace=False)))
     h = rng.integers(-2, 3, size=(n, m)).astype(float)
@@ -454,6 +470,85 @@ def test_sampled_kernel_matches_loop_oracle(h, r, seed):
     assert _attained(h, "ric", gamma_support, gamma)
     drawn = {tuple(int(i) for i in idx) for idx in supports}
     assert attained in drawn and gamma_support in drawn
+
+
+@settings(max_examples=500, deadline=None)
+@given(h=_sensing_matrices(kinds=("near",)), log_scale=st.floats(-8.0, 8.0))
+def test_spark_screen_matches_qr_oracle_at_any_scale(h, log_scale):
+    """The eigenvalue screen only skips subsets the QR rule cannot fail, also
+    when rounding in lambda_min(G_S) dwarfs the rank tolerance (large scale)
+    or the tolerance dwarfs it (small scale)."""
+    h = h * 10.0 ** log_scale
+    assert spark(h) == _loop_spark(h)
+
+
+def _two_pass_certify(h, r_max, guard=MIN_SSQ_GUARD):
+    """The earlier ``certify``, kept as an oracle: min-SSQ and RIC per level,
+    then a second pass that fills the 2r levels through a cache."""
+    n, m = h.shape
+    rho_cache = {}
+    per_r = []
+    for r in range(1, r_max + 1):
+        rho, rho_support = min_ssq(h, r, guard)
+        rho_cache[r] = rho
+        gamma, gamma_support = ric(h, r, guard)
+        per_r.append(SparsityMeasures(r, rho, rho_support, gamma, gamma_support))
+    flags = []
+    for r in range(1, r_max + 1):
+        two_r = 2 * r
+        if two_r > n:
+            rho_2r = 0.0
+        elif two_r in rho_cache:
+            rho_2r = rho_cache[two_r]
+        else:
+            rho_2r = min_ssq(h, min(two_r, m), guard)[0]
+            rho_cache[two_r] = rho_2r
+        flags.append(RecoveryFlags(r, rho_2r, rho_2r > 0.0, rho_2r > 0.5))
+    try:
+        exact_spark = spark(h, guard)
+        known_urp = exact_spark == n + 1
+    except SizeGuardError:
+        exact_spark = None
+        known_urp = None
+    spark_min = 1 + max((r for r, rho in rho_cache.items() if rho > 0.0), default=0)
+    if exact_spark is not None:
+        spark_min = exact_spark
+    return MatrixCertificate(n, m, exact_spark, spark_min, known_urp, coherence(h),
+                             tuple(per_r), tuple(flags))
+
+
+@settings(max_examples=60, deadline=None)
+@given(h=_sensing_matrices(), r_max=st.integers(1, 3), small_guard=st.booleans())
+def test_certify_matches_two_pass_oracle(h, r_max, small_guard):
+    n, m = h.shape
+    guard = MIN_SSQ_GUARD
+    if small_guard:
+        # every min-SSQ and RIC level fits, the spark search does not
+        levels = {*range(1, r_max + 1), *(2 * r for r in range(1, r_max + 1) if 2 * r <= n)}
+        guard = max(math.comb(m, k) for k in levels)
+        assume(sum(math.comb(m, k) for k in range(1, n + 1)) > guard)
+    cert = certify(h, r_max, guard)
+    assert cert.to_json_dict() == _two_pass_certify(h, r_max, guard).to_json_dict()
+    if small_guard:
+        assert cert.spark is None
+
+
+def test_certify_calls_each_search_once_per_level(monkeypatch):
+    """``certify`` calls the module-level searches, positionally, so wrappers
+    patched onto those names (as a tracer patches them) see every call."""
+    rng = np.random.default_rng(23)
+    H = rng.standard_normal((6, 10))
+    expected = certify(H, 2)
+    calls = {"min_ssq": [], "ric": [], "spark": []}
+    for name, record in calls.items():
+        def counted(h, *args, _search=getattr(matrix_analysis, name), _record=record):
+            _record.append(args)
+            return _search(h, *args)
+        monkeypatch.setattr(matrix_analysis, name, counted)
+    assert certify(H, 2) == expected
+    assert [args[0] for args in calls["min_ssq"]] == [1, 2, 4]
+    assert [args[0] for args in calls["ric"]] == [1, 2]
+    assert len(calls["spark"]) == 1
 
 
 def test_kernel_chunk_boundaries(monkeypatch):
