@@ -18,7 +18,6 @@ from .errors import InputError, SizeGuardError
 from .operators import (
     ComposedOperator,
     DenseOperator,
-    GramFactor,
     HaarBasis,
     IdentityOperator,
     PartialDctOperator,
@@ -94,7 +93,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "InputError", "SizeGuardError", "ComposedOperator", "DenseOperator",
-    "GramFactor", "HaarBasis", "IdentityOperator", "PartialDctOperator",
+    "HaarBasis", "IdentityOperator", "PartialDctOperator",
     "PartialDft2Operator", "SensingOperator", "dct_matrix", "haar_dwt_2d",
     "haar_idwt_2d", "partial_dct_matrix", "probe_rows_orthonormal",
     "ParamEstimate", "ReconstructionResult", "StoppingRule", "ecme_run",

@@ -35,7 +35,7 @@ from .experiments import (
 )
 from .matrix_analysis import MIN_SSQ_GUARD, certify, min_ssq_sampled, ric_sampled
 from .operators import DenseOperator, HaarBasis
-from .recon import StoppingRule
+from .recon import DEFAULT_MAX_ITER, DEFAULT_TOL, StoppingRule
 
 # every registered method except the minimum-norm baseline is a subcommand
 _SOLVER_COMMANDS = tuple(name for name in KNOWN_METHODS if name != "mn")
@@ -58,8 +58,8 @@ def _build_parser() -> argparse.ArgumentParser:
                              help="golden-section resolution L (default 1)")
         else:
             cmd.add_argument("--r", type=int, required=True, help="sparsity level")
-        cmd.add_argument("--tol", type=float, default=1e-14)
-        cmd.add_argument("--max-iter", type=int, default=50_000)
+        cmd.add_argument("--tol", type=float, default=DEFAULT_TOL)
+        cmd.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
         cmd.add_argument("--out", help="write the result JSON here")
         cmd.add_argument("--out-signal", help="write the signal estimate CSV here")
 
@@ -81,8 +81,8 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--method", choices=KNOWN_METHODS, default="dore")
     cmd.add_argument("--r", type=int, default=None,
                      help="sparsity level (default: true support size)")
-    cmd.add_argument("--tol", type=float, default=1e-14)
-    cmd.add_argument("--max-iter", type=int, default=50_000)
+    cmd.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    cmd.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     cmd.add_argument("--resolution", type=int, default=64,
                      help="golden-section resolution for adore")
     cmd.add_argument("--out", help="write the report JSON here")
@@ -120,6 +120,8 @@ def _cmd_analyze(args) -> int:
     m = matrix.shape[1]
     if not 1 <= args.r_max <= m:
         raise InputError(f"r_max={args.r_max} outside [1, {m}]")
+    if args.guard < 1:
+        raise InputError(f"guard must be at least 1, got {args.guard}")
     if args.sampled:
         per_r = []
         for r in range(1, args.r_max + 1):

@@ -32,6 +32,8 @@ from .operators import (
     SensingOperator,
 )
 from .recon import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
     StoppingRule,
     ecme_run,
     iht_run,
@@ -227,8 +229,8 @@ class BenchConfig:
     side: int = 64
     lines: tuple[int, ...] = (6, 10, 14, 18, 22, 26, 28)
     methods: tuple[str, ...] = ("ecme", "dore", "mn")
-    tol: float = 1e-14
-    max_iter: int = 50_000
+    tol: float = DEFAULT_TOL
+    max_iter: int = DEFAULT_MAX_ITER
     adore_resolution: int = 64
 
 

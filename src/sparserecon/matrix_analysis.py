@@ -11,15 +11,18 @@ supports A of lambda_min(H_A^T (H H^T)^{-1} H_A), which this module
 enumerates exactly (with a hard guard on the number of supports).  The
 restricted isometry constant is computed the same way from H^T H.
 
-One private eigen kernel serves all five searches (exact and sampled
-min-SSQ and RIC, and the spark screen): on an m x m form, Q = H^T (H H^T)^{-1} H
-or G = H^T H, formed once, it gathers the r x r principal blocks of a
-chunk of ``_CHUNK`` supports into one stacked array and takes their
-eigenvalues in one ``eigvalsh`` call, so memory beyond the form is bounded
-per chunk.  The spark search screens column subsets S by
-lambda_min(G_S) = sigma_min(H_S)^2, with a margin for the rounding of G
-and ``eigvalsh``, and runs its pivoted-QR rank test only on the subsets
-the screen cannot clear, so it returns what that test alone would.
+Q = H^T (H H^T)^{-1} H is formed from ``DenseOperator.gram_solve``, the
+library's one gram weighting; for rows that operator detects as orthonormal
+(max |H H^T - I| <= 1e-10) it is H^T H exactly.  One private eigen kernel
+serves all five searches (exact and sampled min-SSQ and RIC, and the spark
+screen): on an m x m form, Q or G = H^T H, formed once, it gathers the
+r x r principal blocks of a chunk of ``_CHUNK`` supports into one stacked
+array and takes their eigenvalues in one ``eigvalsh`` call, so memory
+beyond the form is bounded per chunk.  The spark search screens column
+subsets S by lambda_min(G_S) = sigma_min(H_S)^2, with a margin for the
+rounding of G and ``eigvalsh``, and runs its pivoted-QR rank test only on
+the subsets the screen cannot clear, so it returns what that test alone
+would.
 
 ``certify`` bundles the measures into a machine-readable certificate with
 two recovery flags per sparsity level:
@@ -79,12 +82,7 @@ def ssq(s, h) -> float:
     if energy == 0.0:
         raise InputError("ssq is undefined for the zero vector")
     hs = h @ s
-    gram = h @ h.T
-    try:
-        solved = scipy.linalg.cho_solve((np.linalg.cholesky(gram), True), hs)
-    except np.linalg.LinAlgError as exc:
-        raise InputError("not a proper sensing matrix: rows are rank deficient") from exc
-    return min(max(float(hs @ solved) / energy, 0.0), 1.0)
+    return min(max(float(hs @ DenseOperator(h).gram_solve(hs)) / energy, 0.0), 1.0)
 
 
 def _support_chunks(supports, r: int):
@@ -144,11 +142,7 @@ def _negative_isometry_deviation(eigs: np.ndarray) -> np.ndarray:
 
 def _projection_form(h: np.ndarray) -> np.ndarray:
     """Q = H^T (H H^T)^{-1} H, whose principal blocks are the restricted forms."""
-    try:
-        weighted = scipy.linalg.cho_solve((np.linalg.cholesky(h @ h.T), True), h)
-    except np.linalg.LinAlgError as exc:
-        raise InputError("not a proper sensing matrix: rows are rank deficient") from exc
-    return h.T @ weighted
+    return h.T @ DenseOperator(h).gram_solve(h)
 
 
 def min_ssq(h, r: int, guard: int = MIN_SSQ_GUARD) -> tuple[float, tuple[int, ...]]:

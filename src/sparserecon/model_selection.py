@@ -108,15 +108,6 @@ def uss_objective(op: SensingOperator, y, r: int, sigma2_est: float) -> float:
     return UssScorer(op, y).evaluate(r, sigma2_est).uss_value
 
 
-def _operator_and_matrix(op):
-    if isinstance(op, DenseOperator):
-        return op, op.matrix
-    if isinstance(op, SensingOperator):
-        raise InputError("the brute-force search needs an explicit dense matrix")
-    matrix = _as_matrix(op)
-    return DenseOperator(matrix), matrix
-
-
 def exact_ml_bruteforce(op, y, r: int, guard: int = BRUTE_FORCE_GUARD) -> ParamEstimate:
     """Exact maximum-likelihood fit at level r by support enumeration.
 
@@ -124,7 +115,8 @@ def exact_ml_bruteforce(op, y, r: int, guard: int = BRUTE_FORCE_GUARD) -> ParamE
     returns the parameter pair with the globally smallest variance.
     Intended for tiny instances; refuses when C(m, r) exceeds the guard.
     """
-    dense, matrix = _operator_and_matrix(op)
+    matrix = _as_matrix(op)
+    dense = op if isinstance(op, DenseOperator) else DenseOperator(matrix)
     n, m = matrix.shape
     y = _as_measurements(dense, y)
     if not 0 <= r <= m:
@@ -138,10 +130,7 @@ def exact_ml_bruteforce(op, y, r: int, guard: int = BRUTE_FORCE_GUARD) -> ParamE
     base = float(y @ weighted_y)
     if r == 0:
         return ParamEstimate(np.zeros(m), base / n, 0)
-    if dense.rows_orthonormal:
-        weighted_h = matrix
-    else:
-        weighted_h = dense.gram_factor.solve(matrix)
+    weighted_h = dense.gram_solve(matrix)
     best_error = math.inf
     best_support: tuple[int, ...] = ()
     best_coeffs = None
@@ -240,8 +229,7 @@ class AdoreResult:
 
 
 def adore_run(op: SensingOperator, y, resolution: int = 1,
-              stop: StoppingRule | None = None,
-              r_max: int | None = None) -> AdoreResult:
+              stop: StoppingRule | None = None) -> AdoreResult:
     """Automatic reconstruction with the sparsity level chosen by USS.
 
     Golden-section search over r in [0, ceil(N/2)] scores each probed level
@@ -250,8 +238,7 @@ def adore_run(op: SensingOperator, y, resolution: int = 1,
     """
     y = np.asarray(y, dtype=float)
     scorer = UssScorer(op, y)  # validates y != 0
-    if r_max is None:
-        r_max = math.ceil(op.n_rows / 2)
+    r_max = math.ceil(op.n_rows / 2)
     runs: dict[int, ReconstructionResult] = {}
     evaluations: dict[int, UssEvaluation] = {}
 

@@ -3,10 +3,17 @@
 Every operator exposes the same surface: ``apply`` (H v), ``apply_adjoint``
 (H^T w) and ``gram_solve`` (solve (H H^T) x = b).  A "proper" operator is
 N x m with N <= m and full row rank, so H H^T is symmetric positive
-definite and the gram system is solvable.  When the rows of H are
+definite and the gram system is solvable.  ``gram_solve`` takes a
+length-N vector or an N x k block of columns on every kind; that one shape
+contract is checked in ``SensingOperator``.  When the rows of H are
 orthonormal (H H^T = I), ``gram_solve`` is the identity map and returns
 its argument unchanged; downstream iterations then take the cheap path
 with no extra arithmetic.
+
+``DenseOperator`` is the one owner of H H^T: it alone forms and factors
+it, and every gram-weighted computation in the library (the solvers, the
+min-SSQ form, ``ssq`` and the brute-force oracle) goes through its
+``gram_solve``.
 
 Concrete kinds:
 
@@ -27,7 +34,6 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
@@ -58,17 +64,6 @@ def _finite_matrix(matrix) -> np.ndarray:
     if not np.isfinite(matrix).all():
         raise InputError("sensing matrix entries must be finite")
     return matrix
-
-
-@dataclass(frozen=True)
-class GramFactor:
-    """Cholesky factor of H H^T, precomputed once so repeated solves are cheap."""
-
-    lower: np.ndarray  # L with H H^T = L L^T
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve (H H^T) x = b; b may be a vector or a matrix of columns."""
-        return scipy.linalg.cho_solve((self.lower, True), b)
 
 
 class SensingOperator(ABC):
@@ -103,19 +98,23 @@ class SensingOperator(ABC):
         """Return H^T w for a length-N vector w."""
 
     def gram_solve(self, b) -> np.ndarray:
-        """Return x with (H H^T) x = b.
+        """Return x with (H H^T) x = b, for a length-N vector or an N x k block.
 
-        Row-orthonormal operators return ``b`` unchanged (H H^T = I); the
-        dense kind overrides this with a Cholesky solve.
+        Row-orthonormal operators return ``b`` unchanged (H H^T = I); any
+        other kind solves in ``_gram_solve``, which the dense kind
+        implements with its Cholesky factor.
         """
         b = np.asarray(b, dtype=float)
-        if b.shape != (self.n_rows,):
+        if b.ndim not in (1, 2) or b.shape[0] != self.n_rows:
             raise InputError(
-                f"gram_solve expects a length-{self.n_rows} vector, got shape {b.shape}"
+                f"gram_solve expects a length-{self.n_rows} vector or an "
+                f"{self.n_rows} x k block, got shape {b.shape}"
             )
-        if self.rows_orthonormal:
-            return b
-        raise NotImplementedError  # pragma: no cover - concrete kinds override
+        return b if self.rows_orthonormal else self._gram_solve(b)
+
+    def _gram_solve(self, b: np.ndarray) -> np.ndarray:
+        """Solve (H H^T) x = b for a checked b; rows are not orthonormal."""
+        raise NotImplementedError  # pragma: no cover - such kinds override
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -147,9 +146,12 @@ def probe_rows_orthonormal(op: SensingOperator) -> bool:
 class DenseOperator(SensingOperator):
     """Explicit dense sensing matrix with a precomputed gram factorization.
 
-    The one-off Cholesky of H H^T is the only O(N^3) cost; every later
-    gram_solve is a pair of triangular solves.  Rows detected orthonormal
-    (max |H H^T - I| <= 1e-10) switch gram_solve to the identity map.
+    The only place in the library that forms and factors H H^T.  The
+    one-off Cholesky, ``gram_lower`` (L with H H^T = L L^T), is the only
+    O(N^3) cost; every later gram_solve, of a vector or a block, is a pair
+    of triangular solves.  Rows detected orthonormal (max |H H^T - I| <=
+    1e-10) store no factor (``gram_lower`` is None) and make gram_solve the
+    identity map.
     """
 
     def __init__(self, matrix):
@@ -161,17 +163,15 @@ class DenseOperator(SensingOperator):
         )
         super().__init__(n_rows, n_cols, orthonormal, "dense")
         self.matrix = matrix
-        if orthonormal:
-            self.gram_factor = None
-        else:
+        self.gram_lower = None
+        if not orthonormal:
             try:
-                lower = np.linalg.cholesky(gram)
+                self.gram_lower = np.linalg.cholesky(gram)
             except np.linalg.LinAlgError as exc:
                 raise InputError(
                     "not a proper sensing matrix: H H^T is not positive definite "
                     "(rank-deficient rows)"
                 ) from exc
-            self.gram_factor = GramFactor(lower=lower)
 
     def apply(self, v) -> np.ndarray:
         v = _as_vector(v, self.n_cols, "v")
@@ -181,11 +181,8 @@ class DenseOperator(SensingOperator):
         w = _as_vector(w, self.n_rows, "w")
         return self.matrix.T @ w
 
-    def gram_solve(self, b) -> np.ndarray:
-        b = _as_vector(b, self.n_rows, "b")
-        if self.rows_orthonormal:
-            return b
-        return self.gram_factor.solve(b)
+    def _gram_solve(self, b: np.ndarray) -> np.ndarray:
+        return scipy.linalg.cho_solve((self.gram_lower, True), b)
 
 
 class IdentityOperator(SensingOperator):
@@ -432,5 +429,5 @@ class ComposedOperator(SensingOperator):
     def apply_adjoint(self, w) -> np.ndarray:
         return self.basis.analyze(self.sampling.apply_adjoint(w))
 
-    def gram_solve(self, b) -> np.ndarray:
+    def _gram_solve(self, b: np.ndarray) -> np.ndarray:
         return self.sampling.gram_solve(b)

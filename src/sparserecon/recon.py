@@ -188,7 +188,7 @@ class DoreState:
 
     def verify_cache(self, op: SensingOperator, y, rtol: float = 1e-10) -> bool:
         """Debug check: cached images consistent with the stored signals."""
-        y = np.asarray(y, dtype=float)
+        y = _as_measurements(op, y)
         pairs = [
             (self.h_prev, op.apply(self.theta_prev.s)),
             (self.g_prev, op.gram_solve(op.apply(self.theta_prev.s))),
@@ -208,7 +208,7 @@ def sigma2_hat(op: SensingOperator, y, s) -> float:
 
     Zero exactly when y = H s; tiny negative rounding is clamped to 0.
     """
-    y = np.asarray(y, dtype=float)
+    y = _as_measurements(op, y)
     residual = y - op.apply(s)
     value = float(residual @ op.gram_solve(residual)) / op.n_rows
     return max(value, 0.0)
@@ -341,7 +341,7 @@ def iht_run(op: SensingOperator, y, r: int, s0=None,
 
 def minimum_norm_estimate(op: SensingOperator, y) -> np.ndarray:
     """Minimum-norm solution H^T (H H^T)^{-1} y of H s = y (ignores sparsity)."""
-    y = np.asarray(y, dtype=float)
+    y = _as_measurements(op, y)
     return op.apply_adjoint(op.gram_solve(y))
 
 
@@ -351,5 +351,5 @@ def empirical_bayes_estimate(op: SensingOperator, y, theta: ParamEstimate) -> np
     Measurement-consistent (H applied to the output reproduces y) but not
     r-sparse in general; useful for approximately sparse signals.
     """
-    y = np.asarray(y, dtype=float)
+    y = _as_measurements(op, y)
     return theta.s + op.apply_adjoint(op.gram_solve(y - op.apply(theta.s)))

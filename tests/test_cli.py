@@ -192,6 +192,16 @@ def test_exit_code_r_max_outside_range(tmp_path, toy_files, r_max, mode, capsys)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("guard", ["0", "-1"])
+def test_exit_code_guard_below_one(toy_files, guard, capsys):
+    matrix_path, _ = toy_files
+    code = main(["analyze", "--matrix", matrix_path, "--r-max", "1",
+                 "--guard", guard])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: guard"), lines
+
+
 def test_exit_code_size_guard(toy_files, capsys):
     matrix_path, _ = toy_files
     code = main(["analyze", "--matrix", matrix_path, "--r-max", "2",

@@ -5,6 +5,7 @@ import pytest
 
 from sparserecon import (
     DenseOperator,
+    InputError,
     ParamEstimate,
     PartialDctOperator,
     SensingOperator,
@@ -182,6 +183,15 @@ def test_dore_state_cache_verification():
         h_curr=state.h_curr, g_curr=state.g_curr, g_y=state.g_y,
     )
     assert not corrupted.verify_cache(op, y)
+
+
+def test_dore_state_cache_verification_rejects_non_finite_y():
+    rng = np.random.default_rng(6)
+    op, y, _ = _random_problem(rng)
+    state = _seed_state(op, y, 3)
+    y[0] = np.nan  # a NaN gram image would compare as consistent
+    with pytest.raises(InputError, match="finite"):
+        state.verify_cache(op, y)
 
 
 # ------------------------------------------------------------------- dore_run

@@ -23,6 +23,7 @@ from sparserecon import (
     coherence,
     dct_matrix,
     ecme_run,
+    exact_ml_bruteforce,
     partial_dct_matrix,
     hard_threshold,
     min_ssq,
@@ -143,6 +144,28 @@ def test_min_ssq_enumeration_is_lower_bound_of_sampling():
     quotients = np.einsum("ij,ij->i", signals @ projector, signals) \
         / np.einsum("ij,ij->i", signals, signals)
     assert exact <= quotients.min() + 1e-12
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_min_ssq_orthonormal_rows_use_gram_blocks(bench_dct_matrix, r):
+    # rows the operator detects as orthonormal make Q = H^T H exactly, so
+    # min-SSQ is the smallest lambda_min of the principal blocks of H^T H
+    h = bench_dct_matrix
+    gram = h.T @ h
+    expected = min(np.linalg.eigvalsh(gram[np.ix_(a, a)])[0]
+                   for a in map(list, combinations(range(h.shape[1]), r)))
+    assert min_ssq(h, r)[0] == expected
+
+
+@pytest.mark.parametrize("measure", [
+    lambda h: ssq(np.ones(h.shape[1]), h),
+    lambda h: min_ssq(h, 1),
+    lambda h: exact_ml_bruteforce(h, np.ones(h.shape[0]), 1),
+], ids=["ssq", "min_ssq", "exact_ml_bruteforce"])
+def test_rank_deficient_rows_rejected(measure):
+    h = np.array([[1.0, 0.0, 2.0], [1.0, 0.0, 2.0]])  # equal rows
+    with pytest.raises(InputError, match="not a proper sensing matrix"):
+        measure(h)
 
 
 def test_min_ssq_guard():

@@ -74,12 +74,37 @@ def test_gram_factor_reconstruct():
     H = rng.standard_normal((6, 15))
     op = DenseOperator(H)
     gram = H @ H.T
-    lower = op.gram_factor.lower
+    lower = op.gram_lower
     err = np.abs(lower @ lower.T - gram).max()
     assert err <= 1e-10 * np.abs(gram).max()
     # a triangular factor with a positive diagonal makes L L^T SPD
     assert np.array_equal(lower, np.tril(lower))
     assert np.all(np.diag(lower) > 0)
+
+
+def test_gram_solve_block_matches_column_solves():
+    rng = np.random.default_rng(12)
+    op = DenseOperator(rng.standard_normal((7, 18)))
+    block = rng.standard_normal((7, 5))
+    columns = np.column_stack([op.gram_solve(col) for col in block.T])
+    assert op.gram_solve(block).tobytes() == columns.tobytes()
+
+
+def test_gram_solve_block_orthonormal_returns_input_unchanged(bench_dct_operator,
+                                                              bench_dct_dense):
+    block = np.random.default_rng(14).standard_normal((21, 4))
+    assert bench_dct_dense.gram_lower is None
+    for op in (bench_dct_operator, bench_dct_dense):
+        assert op.gram_solve(block) is block
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 1), (3, 2), (3,), ()],
+                         ids=["3-D", "rows", "length", "scalar"])
+def test_gram_solve_shape_contract(toy_operator, shape):
+    dct = PartialDctOperator(8, [0, 2])  # two rows, like the toy operator
+    for op in (toy_operator, dct):
+        with pytest.raises(InputError, match="gram_solve expects"):
+            op.gram_solve(np.ones(shape))
 
 
 def test_rank_deficient_rejected():

@@ -317,6 +317,27 @@ def test_non_finite_input_rejected(bench_dct_operator, bench_dct_dense):
         adore_run(op, y_nan)
 
 
+@pytest.mark.parametrize("helper", [
+    lambda op, y: sigma2_hat(op, y, np.zeros(op.n_cols)),
+    lambda op, y: empirical_bayes_estimate(
+        op, y, ParamEstimate(np.zeros(op.n_cols), 1.0, 2)),
+    minimum_norm_estimate,
+], ids=["sigma2_hat", "empirical_bayes_estimate", "minimum_norm_estimate"])
+@pytest.mark.parametrize("entry", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("kind", ["dense", "partial-dct"])
+def test_gram_weighted_helpers_reject_non_finite_y(bench_dct_operator, kind,
+                                                    entry, helper):
+    # a dense gram solve would raise scipy's ValueError, an orthonormal one
+    # would return NaN silently; both must stop at the y check instead
+    rng = np.random.default_rng(16)
+    op = DenseOperator(rng.standard_normal((10, 24))) if kind == "dense" \
+        else bench_dct_operator
+    y = rng.standard_normal(op.n_rows)
+    y[1] = entry
+    with pytest.raises(InputError, match="finite"):
+        helper(op, y)
+
+
 # ------------------------------------------------------------------ baselines
 
 def test_minimum_norm_identity_and_orthonormal():
