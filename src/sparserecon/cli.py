@@ -71,8 +71,8 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--sampled", action="store_true",
                       help="sampled non-exact bounds instead of a certificate")
     cmd.add_argument("--samples", type=int, default=10_000)
-    cmd.add_argument("--guard", type=int, default=MIN_SSQ_GUARD,
-                     help="enumeration guard (exact mode; default %(default)s)")
+    cmd.add_argument("--guard", type=int,
+                     help=f"enumeration guard (exact mode; default {MIN_SSQ_GUARD})")
     cmd.add_argument("--out", help="write the certificate JSON here")
 
     cmd = sub.add_parser("phantom", help="desk-scale tomographic reconstruction")
@@ -120,8 +120,11 @@ def _cmd_analyze(args) -> int:
     m = matrix.shape[1]
     if not 1 <= args.r_max <= m:
         raise InputError(f"r_max={args.r_max} outside [1, {m}]")
-    if args.guard < 1:
-        raise InputError(f"guard must be at least 1, got {args.guard}")
+    if args.sampled and args.guard is not None:
+        raise InputError("guard applies to exact mode only, not to --sampled")
+    guard = MIN_SSQ_GUARD if args.guard is None else args.guard
+    if guard < 1:
+        raise InputError(f"guard must be at least 1, got {guard}")
     if args.sampled:
         per_r = []
         for r in range(1, args.r_max + 1):
@@ -144,7 +147,7 @@ def _cmd_analyze(args) -> int:
         print(f"sampled bounds for r=1..{args.r_max} "
               f"({args.samples} supports per level)")
     else:
-        cert = certify(matrix, args.r_max, guard=args.guard)
+        cert = certify(matrix, args.r_max, guard=guard)
         payload = {"mode": "exact", "exact": True, **cert.to_json_dict()}
         spark_text = str(cert.spark) if cert.spark is not None \
             else f">= {cert.spark_min} (exact search over guard)"

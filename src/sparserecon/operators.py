@@ -13,7 +13,9 @@ with no extra arithmetic.
 ``DenseOperator`` is the one owner of H H^T: it alone forms and factors
 it, and every gram-weighted computation in the library (the solvers, the
 min-SSQ form, ``ssq`` and the brute-force oracle) goes through its
-``gram_solve``.
+``gram_solve``.  The factor is stored once in Fortran order and each solve
+is one LAPACK ``dpotrs`` call on it, with no per-call copy or finiteness
+scan.
 
 Concrete kinds:
 
@@ -37,7 +39,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 import scipy.fft
-import scipy.linalg
+from scipy.linalg.lapack import dpotrs
 
 from .errors import InputError
 
@@ -102,7 +104,9 @@ class SensingOperator(ABC):
 
         Row-orthonormal operators return ``b`` unchanged (H H^T = I); any
         other kind solves in ``_gram_solve``, which the dense kind
-        implements with its Cholesky factor.
+        implements with its Cholesky factor.  No kind checks ``b`` for
+        finiteness (the row-orthonormal kinds never did); the library
+        entries validate y at the boundary.
         """
         b = np.asarray(b, dtype=float)
         if b.ndim not in (1, 2) or b.shape[0] != self.n_rows:
@@ -147,11 +151,12 @@ class DenseOperator(SensingOperator):
     """Explicit dense sensing matrix with a precomputed gram factorization.
 
     The only place in the library that forms and factors H H^T.  The
-    one-off Cholesky, ``gram_lower`` (L with H H^T = L L^T), is the only
-    O(N^3) cost; every later gram_solve, of a vector or a block, is a pair
-    of triangular solves.  Rows detected orthonormal (max |H H^T - I| <=
-    1e-10) store no factor (``gram_lower`` is None) and make gram_solve the
-    identity map.
+    one-off Cholesky, ``gram_lower`` (L with H H^T = L L^T, stored in
+    Fortran order), is the only O(N^3) cost; every later gram_solve, of a
+    vector or a block, is one ``dpotrs`` call (a pair of triangular solves)
+    that neither copies nor scans the factor and never writes to ``b``.
+    Rows detected orthonormal (max |H H^T - I| <= 1e-10) store no factor
+    (``gram_lower`` is None) and make gram_solve the identity map.
     """
 
     def __init__(self, matrix):
@@ -166,7 +171,7 @@ class DenseOperator(SensingOperator):
         self.gram_lower = None
         if not orthonormal:
             try:
-                self.gram_lower = np.linalg.cholesky(gram)
+                self.gram_lower = np.asfortranarray(np.linalg.cholesky(gram))
             except np.linalg.LinAlgError as exc:
                 raise InputError(
                     "not a proper sensing matrix: H H^T is not positive definite "
@@ -182,7 +187,10 @@ class DenseOperator(SensingOperator):
         return self.matrix.T @ w
 
     def _gram_solve(self, b: np.ndarray) -> np.ndarray:
-        return scipy.linalg.cho_solve((self.gram_lower, True), b)
+        x, info = dpotrs(self.gram_lower, b, lower=1)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of dpotrs")
+        return x
 
 
 class IdentityOperator(SensingOperator):

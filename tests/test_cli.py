@@ -202,6 +202,20 @@ def test_exit_code_guard_below_one(toy_files, guard, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: guard"), lines
 
 
+def test_exit_code_guard_with_sampled(tmp_path, toy_files, capsys):
+    matrix_path, _ = toy_files
+    out = tmp_path / "bounds.json"
+    code = main(["analyze", "--matrix", matrix_path, "--r-max", "1",
+                 "--sampled", "--samples", "5", "--guard", "1",
+                 "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: guard"), lines
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_exit_code_size_guard(toy_files, capsys):
     matrix_path, _ = toy_files
     code = main(["analyze", "--matrix", matrix_path, "--r-max", "2",

@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+import scipy.linalg
+from hypothesis import assume, given, settings, strategies as st
 
 from sparserecon import (
     ComposedOperator,
@@ -96,6 +97,35 @@ def test_gram_solve_block_orthonormal_returns_input_unchanged(bench_dct_operator
     assert bench_dct_dense.gram_lower is None
     for op in (bench_dct_operator, bench_dct_dense):
         assert op.gram_solve(block) is block
+
+
+def _reference_gram_solve(H, b):
+    """The plain SciPy path: C-order factor, copied and scanned by cho_solve."""
+    return scipy.linalg.cho_solve((np.linalg.cholesky(H @ H.T), True), b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n_rows=st.integers(1, 48), extra=st.integers(0, 48),
+       log_scale=st.floats(-8.0, 8.0), k=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1))
+def test_gram_solve_matches_cho_solve_bit_for_bit(n_rows, extra, log_scale, k,
+                                                  seed):
+    rng = np.random.default_rng(seed)
+    H = 10.0 ** log_scale * rng.standard_normal((n_rows, n_rows + extra))
+    try:
+        op = DenseOperator(H)
+    except InputError:  # numerically rank-deficient square draw
+        assume(False)
+    assume(not op.rows_orthonormal)
+    block = rng.standard_normal((n_rows, k))
+    for b in (block[:, 0].copy(), block, np.asfortranarray(block)):
+        before = b.tobytes()
+        ref = _reference_gram_solve(H, b)
+        x = op.gram_solve(b)
+        assert x.shape == ref.shape
+        assert x.flags.f_contiguous == ref.flags.f_contiguous
+        assert x.tobytes() == ref.tobytes()
+        assert b.tobytes() == before  # b is never written
 
 
 @pytest.mark.parametrize("shape", [(2, 3, 1), (3, 2), (3,), ()],

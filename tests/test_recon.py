@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from sparserecon import (
@@ -10,6 +11,7 @@ from sparserecon import (
     InputError,
     ParamEstimate,
     PartialDctOperator,
+    SensingOperator,
     StoppingRule,
     adore_run,
     dore_run,
@@ -371,6 +373,57 @@ def test_empirical_bayes_reductions():
                        minimum_norm_estimate(op, y), atol=1e-12)
     out = empirical_bayes_estimate(op, y, ParamEstimate(s, sigma2_hat(op, y, s), 3))
     assert np.linalg.norm(op.apply(out) - y) <= 1e-8 * np.linalg.norm(y)
+
+
+# ------------------------------------------------- dense gram solve kernel
+
+class ChoSolveDenseOperator(SensingOperator):
+    """Dense operator on the plain SciPy path: a C-order Cholesky factor that
+    ``cho_solve`` copies and scans on every call."""
+
+    def __init__(self, matrix):
+        super().__init__(*matrix.shape, False, "dense")
+        self.matrix = matrix
+        self.lower = np.linalg.cholesky(matrix @ matrix.T)
+
+    def apply(self, v):
+        return self.matrix @ np.asarray(v, dtype=float)
+
+    def apply_adjoint(self, w):
+        return self.matrix.T @ np.asarray(w, dtype=float)
+
+    def _gram_solve(self, b):
+        return scipy.linalg.cho_solve((self.lower, True), b)
+
+
+def _result_bytes(result):
+    return (result.estimate.s.tobytes(),
+            np.float64(result.estimate.sigma2).tobytes(),
+            np.array(result.trace).tobytes(),
+            result.iterations, result.converged, result.branches)
+
+
+@pytest.mark.parametrize("seed,noise", [(1, 0.0), (2, 0.0), (3, 0.0), (4, 0.05)],
+                         ids=["clean-1", "clean-2", "clean-3", "noisy"])
+def test_solvers_byte_identical_to_cho_solve_path(seed, noise):
+    rng = np.random.default_rng(seed)
+    H = rng.standard_normal((60, 150))
+    truth = hard_threshold(rng.standard_normal(150), 8)
+    y = H @ truth + noise * rng.standard_normal(60)
+    fast, plain = DenseOperator(H), ChoSolveDenseOperator(H)
+    stop = StoppingRule(max_iter=2000)
+    for run in (ecme_run, dore_run):
+        assert (_result_bytes(run(fast, y, 8, stop=stop))
+                == _result_bytes(run(plain, y, 8, stop=stop)))
+    auto_fast, auto_plain = adore_run(fast, y, stop=stop), adore_run(plain, y, stop=stop)
+    assert auto_fast.r_selected == auto_plain.r_selected
+    assert auto_fast.dore_runs == auto_plain.dore_runs
+    assert _result_bytes(auto_fast.final) == _result_bytes(auto_plain.final)
+    assert ([(e.r, e.growth_rate) for e in auto_fast.evaluations]
+            == [(e.r, e.growth_rate) for e in auto_plain.evaluations])
+    scores = [np.array([[e.sigma2_est, e.uss_value] for e in auto.evaluations])
+              for auto in (auto_fast, auto_plain)]
+    assert scores[0].tobytes() == scores[1].tobytes()
 
 
 # ------------------------------------------------------------- value objects
