@@ -58,7 +58,6 @@ from .model_selection import (
     adore_run,
     exact_ml_bruteforce,
     golden_section_r_search,
-    uss_objective,
 )
 from .matrix_analysis import (
     FixedPointReport,
@@ -102,7 +101,7 @@ __all__ = [
     "DoreState", "OverrelaxationWeights", "dore_alpha1", "dore_alpha2",
     "dore_run", "dore_step", "AdoreResult", "UssEvaluation", "UssScorer",
     "adore_run", "exact_ml_bruteforce", "golden_section_r_search",
-    "uss_objective", "FixedPointReport", "MatrixCertificate", "RecoveryFlags",
+    "FixedPointReport", "MatrixCertificate", "RecoveryFlags",
     "SparsityMeasures", "certify", "coherence", "min_ssq", "min_ssq_sampled",
     "ric", "ric_sampled", "spark", "ssq", "urp", "verify_fixed_point",
     "BenchConfig", "ExperimentReport", "ProblemInstance", "benchmark_sweep",

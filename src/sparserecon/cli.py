@@ -33,7 +33,8 @@ from .experiments import (
     report_csv_row,
     run_method,
 )
-from .matrix_analysis import MIN_SSQ_GUARD, certify, min_ssq_sampled, ric_sampled
+from .matrix_analysis import (MIN_SSQ_GUARD, SAMPLED_SUPPORTS, certify, min_ssq_sampled,
+                              ric_sampled)
 from .operators import DenseOperator, HaarBasis
 from .recon import DEFAULT_MAX_ITER, DEFAULT_TOL, StoppingRule
 
@@ -70,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--exact", action="store_true", default=True)
     mode.add_argument("--sampled", action="store_true",
                       help="sampled non-exact bounds instead of a certificate")
-    cmd.add_argument("--samples", type=int, default=10_000)
+    cmd.add_argument("--samples", type=int)
     cmd.add_argument("--guard", type=int,
                      help=f"enumeration guard (exact mode; default {MIN_SSQ_GUARD})")
     cmd.add_argument("--out", help="write the certificate JSON here")
@@ -122,14 +123,17 @@ def _cmd_analyze(args) -> int:
         raise InputError(f"r_max={args.r_max} outside [1, {m}]")
     if args.sampled and args.guard is not None:
         raise InputError("guard applies to exact mode only, not to --sampled")
+    if not args.sampled and args.samples is not None:
+        raise InputError("samples applies to --sampled mode only, not to exact mode")
     guard = MIN_SSQ_GUARD if args.guard is None else args.guard
     if guard < 1:
         raise InputError(f"guard must be at least 1, got {guard}")
     if args.sampled:
+        samples = SAMPLED_SUPPORTS if args.samples is None else args.samples
         per_r = []
         for r in range(1, args.r_max + 1):
-            rho, rho_support = min_ssq_sampled(matrix, r, args.samples)
-            gamma, gamma_support = ric_sampled(matrix, r, args.samples)
+            rho, rho_support = min_ssq_sampled(matrix, r, samples)
+            gamma, gamma_support = ric_sampled(matrix, r, samples)
             per_r.append({
                 "r": r,
                 "rho_min_upper_bound": rho,
@@ -145,7 +149,7 @@ def _cmd_analyze(args) -> int:
             "per_r": per_r,
         }
         print(f"sampled bounds for r=1..{args.r_max} "
-              f"({args.samples} supports per level)")
+              f"({samples} supports per level)")
     else:
         cert = certify(matrix, args.r_max, guard=guard)
         payload = {"mode": "exact", "exact": True, **cert.to_json_dict()}

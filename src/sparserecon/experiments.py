@@ -275,6 +275,14 @@ def run_method(method: str, op: SensingOperator, y, r: int | None = None,
     raise InputError(f"unknown method {method!r}")
 
 
+def _config_number(kind, text: str, where: str):
+    """``kind(text)``; a non-numeric value is an ``InputError`` naming ``where``."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise InputError(f"{where}: not a number: {text.strip()!r}") from None
+
+
 def parse_bench_config(text: str) -> BenchConfig:
     """Parse key=value lines; '#' starts a comment, blank lines are skipped."""
     values: dict[str, object] = {}
@@ -286,10 +294,12 @@ def parse_bench_config(text: str) -> BenchConfig:
             raise InputError(f"config line {lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
+        where = f"config line {lineno}: {key}"
         if key == "side":
-            values["side"] = int(value)
+            values["side"] = _config_number(int, value, where)
         elif key == "lines":
-            values["lines"] = tuple(int(v) for v in value.split(",") if v.strip())
+            values["lines"] = tuple(_config_number(int, v, where)
+                                    for v in value.split(",") if v.strip())
         elif key == "methods":
             methods = tuple(v.strip() for v in value.split(",") if v.strip())
             unknown = [mth for mth in methods if mth not in KNOWN_METHODS]
@@ -297,11 +307,11 @@ def parse_bench_config(text: str) -> BenchConfig:
                 raise InputError(f"unknown methods in config: {unknown}")
             values["methods"] = methods
         elif key == "tol":
-            values["tol"] = float(value)
+            values["tol"] = _config_number(float, value, where)
         elif key == "max_iter":
-            values["max_iter"] = int(value)
+            values["max_iter"] = _config_number(int, value, where)
         elif key == "adore_resolution":
-            values["adore_resolution"] = int(value)
+            values["adore_resolution"] = _config_number(int, value, where)
         else:
             raise InputError(f"config line {lineno}: unknown key {key!r}")
     return BenchConfig(**values)

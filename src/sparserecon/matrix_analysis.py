@@ -49,6 +49,7 @@ from .operators import DenseOperator, SensingOperator, _finite_matrix
 from .recon import _as_measurements
 
 MIN_SSQ_GUARD = 10_000_000
+SAMPLED_SUPPORTS = 10_000
 _ZERO_EIG_TOL = 1e-14
 # supports per stacked eigenvalue call; bounds the (chunk, r, r) work arrays
 _CHUNK = 1024
@@ -181,7 +182,7 @@ def ric(h, r: int, guard: int = MIN_SSQ_GUARD) -> tuple[float, tuple[int, ...]]:
     return -worst, worst_support
 
 
-def min_ssq_sampled(h, r: int, n_samples: int = 10_000, seed: int = 0
+def min_ssq_sampled(h, r: int, n_samples: int = SAMPLED_SUPPORTS, seed: int = 0
                     ) -> tuple[float, tuple[int, ...]]:
     """NON-EXACT: minimum r-SSQ over sampled supports.
 
@@ -199,7 +200,7 @@ def min_ssq_sampled(h, r: int, n_samples: int = 10_000, seed: int = 0
     return min(max(best, 0.0), 1.0), best_support
 
 
-def ric_sampled(h, r: int, n_samples: int = 10_000, seed: int = 0
+def ric_sampled(h, r: int, n_samples: int = SAMPLED_SUPPORTS, seed: int = 0
                 ) -> tuple[float, tuple[int, ...]]:
     """NON-EXACT: restricted isometry constant over sampled supports.
 

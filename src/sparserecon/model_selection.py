@@ -16,13 +16,14 @@ prefers the smallest such r.
 maximum-likelihood variance for tiny instances; it doubles as the oracle
 for validating the selection rule.  ``adore_run`` replaces the intractable
 exact variance with the accelerated solver's estimate and drives an
-integer golden-section search over r in [0, ceil(N/2)].
+integer golden-section search over r in [0, ceil(N/2)].  The search owns
+its edge cases (resolution clamp, r_max = 1), so every N takes one path,
+and one table of probes, r -> (score, reconstruction), builds the result.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -76,7 +77,6 @@ class UssScorer:
         baseline = float(y @ op.gram_solve(y)) / op.n_rows
         if baseline <= 0.0:
             raise InputError("USS needs a nonzero measurement vector")
-        self.op = op
         self.n_rows = op.n_rows
         self.n_cols = op.n_cols
         self.baseline = baseline
@@ -100,12 +100,6 @@ class UssScorer:
             )
         return UssEvaluation(r=r, sigma2_est=float(sigma2_est),
                              uss_value=value, growth_rate=growth)
-
-
-def uss_objective(op: SensingOperator, y, r: int, sigma2_est: float) -> float:
-    """USS score as an extended real; see :class:`UssScorer` for the ranking
-    of infinite values."""
-    return UssScorer(op, y).evaluate(r, sigma2_est).uss_value
 
 
 def exact_ml_bruteforce(op, y, r: int, guard: int = BRUTE_FORCE_GUARD) -> ParamEstimate:
@@ -162,11 +156,16 @@ def golden_section_r_search(evaluator, r_max: int, resolution: int = 1) -> int:
     ``resolution``; brackets of width <= 2 are swept exhaustively.  Returns
     the probed r with the largest value (ties to the smallest r).  Exact
     for unimodal evaluators at resolution 1.
+
+    Any ``r_max >= 1`` and ``resolution >= 1`` is accepted: a resolution of
+    r_max or more acts as max(r_max - 1, 1), so the bracket is probed at
+    least once, and at r_max = 1 the sweep scores 0, then 1.
     """
     if r_max < 1:
         raise InputError("r_max must be at least 1")
-    if not 1 <= resolution < r_max:
-        raise InputError(f"resolution must lie in [1, r_max), got {resolution}")
+    if resolution < 1:
+        raise InputError(f"resolution must be at least 1, got {resolution}")
+    resolution = min(resolution, max(r_max - 1, 1))
     cache: dict[int, object] = {}
 
     def scored(r: int):
@@ -201,8 +200,7 @@ def golden_section_r_search(evaluator, r_max: int, resolution: int = 1) -> int:
     if b - a <= 2:
         for r in range(a, b + 1):
             scored(r)
-    best = max(cache, key=lambda r: (cache[r], -r))
-    return best
+    return max(cache, key=lambda r: (cache[r], -r))
 
 
 @dataclass
@@ -233,47 +231,32 @@ def adore_run(op: SensingOperator, y, resolution: int = 1,
     """Automatic reconstruction with the sparsity level chosen by USS.
 
     Golden-section search over r in [0, ceil(N/2)] scores each probed level
-    with the accelerated solver's variance estimate; r = 0 is scored from
-    the empty-model variance directly, at no solver cost.
+    with the accelerated solver's variance estimate; r = 0 is the empty
+    model (zero signal, the baseline variance), scored at no solver cost.
     """
     y = np.asarray(y, dtype=float)
     scorer = UssScorer(op, y)  # validates y != 0
-    r_max = math.ceil(op.n_rows / 2)
-    runs: dict[int, ReconstructionResult] = {}
-    evaluations: dict[int, UssEvaluation] = {}
+    empty = ReconstructionResult(
+        estimate=ParamEstimate(np.zeros(op.n_cols), scorer.baseline, 0),
+        trace=[op.n_rows * scorer.baseline],
+        iterations=0,
+        converged=True,
+        elapsed_seconds=0.0,
+    )
+    probes: dict[int, tuple[UssEvaluation, ReconstructionResult]] = {}
 
     def evaluator(r: int):
-        if r == 0:
-            evaluation = scorer.evaluate(0, scorer.baseline)
-        else:
-            result = dore_run(op, y, r, stop=stop)
-            runs[r] = result
-            evaluation = scorer.evaluate(r, result.estimate.sigma2)
-        evaluations[r] = evaluation
+        result = empty if r == 0 else dore_run(op, y, r, stop=stop)
+        evaluation = scorer.evaluate(r, result.estimate.sigma2)
+        probes[r] = (evaluation, result)
         return evaluation.sort_key
 
-    start = time.perf_counter()
-    if r_max == 1:
-        # nothing to subdivide: score both candidate levels directly
-        keys = {r: evaluator(r) for r in (0, 1)}
-        r_selected = max(keys, key=lambda r: (keys[r], -r))
-    else:
-        r_selected = golden_section_r_search(
-            evaluator, r_max, min(resolution, r_max - 1)
-        )
-    if r_selected in runs:
-        final = runs[r_selected]
-    else:  # r = 0: the empty model needs no solver run
-        final = ReconstructionResult(
-            estimate=ParamEstimate(np.zeros(op.n_cols), scorer.baseline, 0),
-            trace=[op.n_rows * scorer.baseline],
-            iterations=0,
-            converged=True,
-            elapsed_seconds=time.perf_counter() - start,
-        )
+    r_selected = golden_section_r_search(
+        evaluator, math.ceil(op.n_rows / 2), resolution
+    )
     return AdoreResult(
         r_selected=r_selected,
-        evaluations=[evaluations[r] for r in sorted(evaluations)],
-        final=final,
-        dore_runs=len(runs),
+        evaluations=[probes[r][0] for r in sorted(probes)],
+        final=probes[r_selected][1],
+        dore_runs=sum(r > 0 for r in probes),
     )

@@ -79,6 +79,14 @@ def test_adore_subcommand(tmp_path, toy_files, capsys):
     assert "r_selected" in payload and "probed" in payload
 
 
+def test_adore_resolution_below_one_exits_2(toy_files, capsys):
+    matrix_path, y_path = toy_files
+    assert main(["adore", "--matrix", matrix_path, "--y", y_path,
+                 "--resolution", "0"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: resolution"), lines
+
+
 def test_analyze_exact(tmp_path, toy_files, capsys):
     matrix_path, _ = toy_files
     out = tmp_path / "cert.json"
@@ -216,6 +224,20 @@ def test_exit_code_guard_with_sampled(tmp_path, toy_files, capsys):
     assert not out.exists()
 
 
+def test_exit_code_samples_in_exact_mode(tmp_path, toy_files, capsys):
+    matrix_path, _ = toy_files
+    out = tmp_path / "cert.json"
+    for samples in ("5", "-3"):
+        code = main(["analyze", "--matrix", matrix_path, "--r-max", "1",
+                     "--samples", samples, "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: samples"), lines
+        assert captured.out == ""
+        assert not out.exists()
+
+
 def test_exit_code_size_guard(toy_files, capsys):
     matrix_path, _ = toy_files
     code = main(["analyze", "--matrix", matrix_path, "--r-max", "2",
@@ -255,6 +277,18 @@ def test_bench_subcommand(tmp_path, capsys):
 
 def test_bench_missing_config(capsys):
     assert main(["bench", "--config", "/nonexistent/path.cfg"]) == 2
+
+
+@pytest.mark.parametrize("text", ["side = abc\n", "side = 32\nlines = 6, x\n"],
+                         ids=["side", "lines"])
+def test_bench_non_numeric_config_value(tmp_path, text, capsys):
+    config = tmp_path / "bench.cfg"
+    config.write_text(text)
+    assert main(["bench", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: config line"), lines
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("command, flag", [

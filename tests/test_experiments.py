@@ -232,6 +232,10 @@ def test_parse_bench_config_errors():
         parse_bench_config("unknown = 3")
     with pytest.raises(InputError):
         parse_bench_config("methods = ecme, bogus")
+    for text in ("side = abc", "lines = 6, x", "tol = small", "max_iter = 1e3",
+                 "adore_resolution = 2.5"):
+        with pytest.raises(InputError, match="config line 1: "):
+            parse_bench_config(text)
 
 
 def test_report_csv_row_format():

@@ -1,22 +1,27 @@
 """Sparsity selection: USS score, brute-force oracle, golden-section, ADORE."""
 
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sparserecon import (
     DenseOperator,
     InputError,
+    ParamEstimate,
+    ReconstructionResult,
     SizeGuardError,
     UssScorer,
     adore_run,
+    dore_run,
     exact_ml_bruteforce,
     golden_section_r_search,
     hard_threshold,
     StoppingRule,
-    uss_objective,
 )
+from sparserecon.model_selection import GOLDEN
 
 
 def _planted(rng, n, m, r_true, noise=0.0):
@@ -53,7 +58,7 @@ def test_uss_scale_invariance():
 
 def test_uss_zero_measurements_rejected(toy_operator):
     with pytest.raises(InputError):
-        uss_objective(toy_operator, np.zeros(2), 1, 0.5)
+        UssScorer(toy_operator, np.zeros(2))
 
 
 def test_uss_infinite_sentinel_ranking():
@@ -187,8 +192,90 @@ def test_golden_section_respects_resolution():
 def test_golden_section_validation():
     with pytest.raises(InputError):
         golden_section_r_search(lambda r: r, 10, 0)
+    assert golden_section_r_search(lambda r: r, 10, 10) == \
+        golden_section_r_search(lambda r: r, 10, 9)
+
+
+def _reference_golden_section_r_search(evaluator, r_max, resolution=1):
+    """The search as it was before it owned its edge cases: it accepted only
+    resolution in [1, r_max), and callers handled r_max = 1 themselves."""
+    if r_max < 1:
+        raise InputError("r_max must be at least 1")
+    if not 1 <= resolution < r_max:
+        raise InputError(f"resolution must lie in [1, r_max), got {resolution}")
+    cache = {}
+
+    def scored(r):
+        if r not in cache:
+            cache[r] = evaluator(r)
+        return cache[r]
+
+    a, b = 0, r_max
+    gap = math.floor(GOLDEN * (b - a))
+    low, high = b - gap, a + gap
+    if low > high:
+        low, high = high, low
+    if low == high:
+        high = min(low + 1, b)
+    while b - a >= max(resolution, 3):
+        if scored(low) < scored(high):
+            a = low
+            low = high
+            high = a + math.floor(GOLDEN * (b - a))
+            if high <= low:
+                high = min(low + 1, b)
+            if high == low:
+                break
+        else:
+            b = high
+            high = low
+            low = b - math.floor(GOLDEN * (b - a))
+            if low >= high:
+                low = max(high - 1, a)
+            if low == high:
+                break
+    if b - a <= 2:
+        for r in range(a, b + 1):
+            scored(r)
+    return max(cache, key=lambda r: (cache[r], -r))
+
+
+def _search_trace(search, keys, r_max, resolution):
+    """The search's result and the order in which it probed r."""
+    order = []
+
+    def evaluator(r):
+        order.append(r)
+        return keys[r]
+
+    return search(evaluator, r_max, resolution), order
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_golden_section_keeps_every_probe_sequence(data):
+    # arbitrary integer keys: ties and non-unimodal shapes included
+    r_max = data.draw(st.integers(2, 300), label="r_max")
+    resolution = data.draw(st.integers(1, r_max - 1), label="resolution")
+    keys = data.draw(st.lists(st.integers(-3, 3), min_size=r_max + 1,
+                              max_size=r_max + 1), label="keys")
+    assert _search_trace(golden_section_r_search, keys, r_max, resolution) == \
+        _search_trace(_reference_golden_section_r_search, keys, r_max, resolution)
+
+
+def test_golden_section_r_max_one_sweeps_both_levels():
+    assert _search_trace(golden_section_r_search, [0.0, 0.0], 1, 1) == (0, [0, 1])
+    assert _search_trace(golden_section_r_search, [0.0, 1.0], 1, 7) == (1, [0, 1])
     with pytest.raises(InputError):
-        golden_section_r_search(lambda r: r, 10, 10)
+        golden_section_r_search(lambda r: r, 0, 1)
+
+
+@pytest.mark.parametrize("r_max", [1, 2, 3, 4, 7, 50, 257])
+def test_golden_section_coarse_resolution_acts_as_r_max_minus_one(r_max):
+    keys = np.random.default_rng(r_max).integers(-3, 4, size=r_max + 1).tolist()
+    expected = _search_trace(golden_section_r_search, keys, r_max, max(r_max - 1, 1))
+    for resolution in (r_max, r_max + 1, 10 * r_max):
+        assert _search_trace(golden_section_r_search, keys, r_max, resolution) == expected
 
 
 # ----------------------------------------------- selection oracle (tiny case)
@@ -262,3 +349,106 @@ def test_adore_json_payload(bench_dct_dense):
     assert payload["r_selected"] == result.r_selected
     assert len(payload["probed"]) == len(result.evaluations)
     assert payload["dore_runs"] == result.dore_runs
+
+
+def _reference_adore_run(op, y, resolution=1, stop=None):
+    """ADORE as it was before the probe table: a separate r_max = 1 path,
+    the resolution clamp in the driver, and the r = 0 result built after the
+    search."""
+    y = np.asarray(y, dtype=float)
+    scorer = UssScorer(op, y)
+    r_max = math.ceil(op.n_rows / 2)
+    runs, evaluations = {}, {}
+
+    def evaluator(r):
+        if r == 0:
+            evaluation = scorer.evaluate(0, scorer.baseline)
+        else:
+            result = dore_run(op, y, r, stop=stop)
+            runs[r] = result
+            evaluation = scorer.evaluate(r, result.estimate.sigma2)
+        evaluations[r] = evaluation
+        return evaluation.sort_key
+
+    start = time.perf_counter()
+    if r_max == 1:
+        keys = {r: evaluator(r) for r in (0, 1)}
+        r_selected = max(keys, key=lambda r: (keys[r], -r))
+    else:
+        r_selected = _reference_golden_section_r_search(
+            evaluator, r_max, min(resolution, r_max - 1)
+        )
+    if r_selected in runs:
+        final = runs[r_selected]
+    else:
+        final = ReconstructionResult(
+            estimate=ParamEstimate(np.zeros(op.n_cols), scorer.baseline, 0),
+            trace=[op.n_rows * scorer.baseline],
+            iterations=0,
+            converged=True,
+            elapsed_seconds=time.perf_counter() - start,
+        )
+    return r_selected, [evaluations[r] for r in sorted(evaluations)], final, len(runs)
+
+
+def _adore_bytes(r_selected, evaluations, final, dore_runs):
+    """Everything ADORE reports except the final run's wall time."""
+    def f64(value):
+        return np.float64(value).tobytes()
+
+    return (
+        r_selected, dore_runs,
+        [(e.r, f64(e.sigma2_est), f64(e.uss_value), e.growth_rate) for e in evaluations],
+        final.estimate.s.tobytes(), f64(final.estimate.sigma2), final.estimate.r,
+        np.asarray(final.trace, dtype=float).tobytes(), final.iterations,
+        final.converged, final.branches,
+    )
+
+
+def _assert_adore_matches_reference(op, y, resolution, stop=None):
+    got = adore_run(op, y, resolution=resolution, stop=stop)
+    fields = (got.r_selected, got.evaluations, got.final, got.dore_runs)
+    reference = _reference_adore_run(op, y, resolution, stop)
+    assert _adore_bytes(*fields) == _adore_bytes(*reference)
+    if got.r_selected == 0:  # the empty model: no solver ran
+        assert got.final.elapsed_seconds == 0.0
+    return got
+
+
+@pytest.mark.parametrize("resolution", [1, 2, 64])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7])
+def test_adore_byte_identical_to_reference_small(n, resolution):
+    rng = np.random.default_rng(1000 + n)
+    selected = set()
+    for noise in (0.0, 0.0, 0.3, 0.3):
+        op, y, _ = _planted(rng, n, 2 * n + 3, max(1, n // 3), noise=noise)
+        selected.add(_assert_adore_matches_reference(op, y, resolution).r_selected)
+    if n <= 2:  # r_max = 1, and the empty model is selected at least once
+        assert 0 in selected and selected <= {0, 1}
+
+
+@pytest.mark.parametrize("resolution", [1, 64])
+def test_adore_byte_identical_to_reference_noisy(resolution):
+    rng = np.random.default_rng(77)
+    for _ in range(2):
+        op, y, _ = _planted(rng, 100, 256, 6, noise=0.01)
+        _assert_adore_matches_reference(op, y, resolution)
+
+
+def test_adore_byte_identical_to_reference_golden(bench_dct_dense):
+    truth = np.zeros(32)
+    truth[9] = 2.0
+    y = bench_dct_dense.apply(truth)
+    stop = StoppingRule(tol=1e-26, max_iter=4000)
+    for resolution in (1, 2):
+        _assert_adore_matches_reference(bench_dct_dense, y, resolution, stop)
+
+
+def test_adore_resolution_below_one_rejected_at_every_size(toy_operator):
+    y = np.array([2.0, 2.0])
+    with pytest.raises(InputError, match="resolution"):
+        adore_run(toy_operator, y, resolution=0)
+    rng = np.random.default_rng(11)
+    op, y6, _ = _planted(rng, 6, 10, 1)
+    with pytest.raises(InputError, match="resolution must be at least 1"):
+        adore_run(op, y6, resolution=0)
