@@ -12,8 +12,8 @@ Exit codes: 0 success, 2 input error, 3 size-guard error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from dataclasses import asdict
 
 from .dataio import (
     load_matrix_csv,
@@ -29,13 +29,13 @@ from .experiments import (
     benchmark_sweep,
     parse_bench_config,
     phantom_problem,
-    psnr,
+    phantom_psnr,
     report_csv_row,
     run_method,
 )
 from .matrix_analysis import (MIN_SSQ_GUARD, SAMPLED_SUPPORTS, certify, min_ssq_sampled,
                               ric_sampled)
-from .operators import DenseOperator, HaarBasis
+from .operators import DenseOperator
 from .recon import DEFAULT_MAX_ITER, DEFAULT_TOL, StoppingRule
 
 # every registered method except the minimum-norm baseline is a subcommand
@@ -170,14 +170,14 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_phantom(args) -> int:
+    if args.r is not None and args.method in ("adore", "mn"):
+        raise InputError(f"r applies to ecme, iht and dore only, not to {args.method}")
     problem = phantom_problem(args.side, args.lines)
     r = args.r if args.r is not None else problem.truth_support_size
     stop = StoppingRule(tol=args.tol, max_iter=args.max_iter)
-    basis = HaarBasis(args.side)
-    reference = basis.synthesize(problem.truth)
     op = problem.operator
     run = run_method(args.method, op, problem.y, r, stop, args.resolution)
-    value = psnr(reference, basis.synthesize(run.estimate))
+    value = phantom_psnr(problem, run.estimate)
     n_over_m = op.n_rows / op.n_cols
     print(f"phantom side={args.side} lines={args.lines} N/m={n_over_m:.3f} "
           f"method={args.method} r={run.r_used}: psnr={value:.2f} dB, "
@@ -209,14 +209,7 @@ def _cmd_bench(args) -> int:
         save_text(args.out_csv, "\n".join(lines) + "\n")
     if args.out_json:
         save_json(args.out_json, {
-            "config": {
-                "side": config.side,
-                "lines": list(config.lines),
-                "methods": list(config.methods),
-                "tol": config.tol,
-                "max_iter": config.max_iter,
-                "adore_resolution": config.adore_resolution,
-            },
+            "config": asdict(config),
             "reports": [rep.to_json_dict() for rep in reports],
         })
     return 0

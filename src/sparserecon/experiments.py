@@ -6,18 +6,17 @@ radial lines, while the unknown is the phantom's orthonormal Haar
 coefficient vector.  That composition has exactly orthonormal rows, so the
 fast thresholding path applies.
 
-``run_method`` is the one registry from method names (``KNOWN_METHODS``)
-to solvers; the CLI and ``benchmark_sweep`` both go through it.
-``benchmark_sweep`` reruns each enabled method over a range of sampling
-densities and reports PSNR / iteration counts per cell; output is
-deterministic (timings aside).
+``run_method`` (method names in ``KNOWN_METHODS``) and ``phantom_psnr`` are
+the one solver registry and the one cell score the CLI and ``benchmark_sweep``
+share.  The sweep runs each method of a ``BenchConfig``, checked when built,
+at each density; output is deterministic (timings aside).
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -75,6 +74,16 @@ def psnr(reference, estimate) -> float:
     return 10.0 * math.log10(peak * peak / mse)
 
 
+def _phantom_side(side: int) -> int:
+    """The phantom rule: ``side`` must be a power of two of at least 32."""
+    side = int(side)
+    if side < 32:
+        raise InputError(f"phantom side must be at least 32, got {side}")
+    if side & (side - 1):
+        raise InputError(f"phantom side must be a power of two, got {side}")
+    return side
+
+
 def phantom(side: int) -> np.ndarray:
     """Shepp-Logan head phantom rasterized on a side x side grid.
 
@@ -84,11 +93,7 @@ def phantom(side: int) -> np.ndarray:
     power-of-two side of at least 32 so the image composes with the Haar
     transform.
     """
-    side = int(side)
-    if side < 32:
-        raise InputError(f"phantom side must be at least 32, got {side}")
-    if side & (side - 1):
-        raise InputError(f"phantom side must be a power of two, got {side}")
+    side = _phantom_side(side)
     axis = (np.arange(side) - (side - 1) / 2.0) / ((side - 1) / 2.0)
     x = np.tile(axis, (side, 1))
     y = np.rot90(x)
@@ -190,6 +195,12 @@ def phantom_problem(side: int, n_lines: int) -> ProblemInstance:
     )
 
 
+def phantom_psnr(problem: ProblemInstance, estimate) -> float:
+    """PSNR of an estimate against the truth, as images from the operator's basis."""
+    basis = problem.operator.basis
+    return psnr(basis.synthesize(problem.truth), basis.synthesize(estimate))
+
+
 @dataclass(frozen=True)
 class ExperimentReport:
     """One benchmark cell: method at one sampling density."""
@@ -202,17 +213,10 @@ class ExperimentReport:
     r_used: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "n_over_m": self.n_over_m,
-            "psnr_db": self.psnr_db,
-            "iterations": self.iterations,
-            "elapsed_seconds": self.elapsed_seconds,
-            "r_used": self.r_used,
-        }
+        return asdict(self)
 
 
-CSV_HEADER = "method,n_over_m,psnr_db,iterations,elapsed_seconds,r_used"
+CSV_HEADER = ",".join(field.name for field in fields(ExperimentReport))
 
 
 def report_csv_row(report: ExperimentReport) -> str:
@@ -224,7 +228,8 @@ def report_csv_row(report: ExperimentReport) -> str:
 
 @dataclass(frozen=True)
 class BenchConfig:
-    """Benchmark sweep settings (parsed from plain key=value text)."""
+    """Benchmark sweep settings, checked when built.  ``parse_bench_config``
+    reads each key as its default's kind: a scalar, or a comma list for a tuple."""
 
     side: int = 64
     lines: tuple[int, ...] = (6, 10, 14, 18, 22, 26, 28)
@@ -232,6 +237,20 @@ class BenchConfig:
     tol: float = DEFAULT_TOL
     max_iter: int = DEFAULT_MAX_ITER
     adore_resolution: int = 64
+
+    def __post_init__(self):
+        _phantom_side(self.side)
+        if not self.lines or min(self.lines) < 1:
+            raise InputError(f"lines must be counts of at least 1, got {list(self.lines)}")
+        if not self.methods:
+            raise InputError("methods must name at least one method")
+        unknown = [mth for mth in self.methods if mth not in KNOWN_METHODS]
+        if unknown:
+            raise InputError(f"unknown methods in config: {unknown}")
+        StoppingRule(tol=self.tol, max_iter=self.max_iter)
+        if self.adore_resolution < 1:
+            raise InputError("adore_resolution must be at least 1, "
+                             f"got {self.adore_resolution}")
 
 
 @dataclass(frozen=True)
@@ -275,16 +294,21 @@ def run_method(method: str, op: SensingOperator, y, r: int | None = None,
     raise InputError(f"unknown method {method!r}")
 
 
-def _config_number(kind, text: str, where: str):
-    """``kind(text)``; a non-numeric value is an ``InputError`` naming ``where``."""
+def _config_value(default, text: str, where: str):
+    """``text`` read as a scalar of ``default``'s type, or as a comma list of its
+    element type when it is a tuple; a non-number raises naming ``where``."""
+    if isinstance(default, tuple):
+        return tuple(_config_value(default[0], item, where)
+                     for item in text.split(",") if item.strip())
     try:
-        return kind(text)
+        return type(default)(text.strip())
     except ValueError:
         raise InputError(f"{where}: not a number: {text.strip()!r}") from None
 
 
 def parse_bench_config(text: str) -> BenchConfig:
     """Parse key=value lines; '#' starts a comment, blank lines are skipped."""
+    defaults = {field.name: field.default for field in fields(BenchConfig)}
     values: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -293,27 +317,12 @@ def parse_bench_config(text: str) -> BenchConfig:
         if "=" not in line:
             raise InputError(f"config line {lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        where = f"config line {lineno}: {key}"
-        if key == "side":
-            values["side"] = _config_number(int, value, where)
-        elif key == "lines":
-            values["lines"] = tuple(_config_number(int, v, where)
-                                    for v in value.split(",") if v.strip())
-        elif key == "methods":
-            methods = tuple(v.strip() for v in value.split(",") if v.strip())
-            unknown = [mth for mth in methods if mth not in KNOWN_METHODS]
-            if unknown:
-                raise InputError(f"unknown methods in config: {unknown}")
-            values["methods"] = methods
-        elif key == "tol":
-            values["tol"] = _config_number(float, value, where)
-        elif key == "max_iter":
-            values["max_iter"] = _config_number(int, value, where)
-        elif key == "adore_resolution":
-            values["adore_resolution"] = _config_number(int, value, where)
-        else:
+        key = key.strip()
+        if key not in defaults:
             raise InputError(f"config line {lineno}: unknown key {key!r}")
+        if key in values:
+            raise InputError(f"config line {lineno}: {key} is set twice")
+        values[key] = _config_value(defaults[key], value, f"config line {lineno}: {key}")
     return BenchConfig(**values)
 
 
@@ -326,19 +335,16 @@ def benchmark_sweep(config: BenchConfig) -> list[ExperimentReport]:
     """
     stop = StoppingRule(tol=config.tol, max_iter=config.max_iter)
     reports: list[ExperimentReport] = []
-    m = config.side * config.side
-    basis = HaarBasis(config.side)
     for n_lines in config.lines:
         problem = phantom_problem(config.side, n_lines)
-        reference_image = basis.synthesize(problem.truth)
-        r = problem.truth_support_size
+        op = problem.operator
         for method in config.methods:
-            run = run_method(method, problem.operator, problem.y, r, stop,
-                             config.adore_resolution)
+            run = run_method(method, op, problem.y, problem.truth_support_size,
+                             stop, config.adore_resolution)
             reports.append(ExperimentReport(
                 method=method,
-                n_over_m=problem.operator.n_rows / m,
-                psnr_db=psnr(reference_image, basis.synthesize(run.estimate)),
+                n_over_m=op.n_rows / op.n_cols,
+                psnr_db=phantom_psnr(problem, run.estimate),
                 iterations=run.iterations,
                 elapsed_seconds=run.elapsed_seconds,
                 r_used=run.r_used,

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sparserecon import BenchConfig, InputError, experiments
 from sparserecon.cli import main
 from sparserecon.dataio import (
     load_matrix_csv,
@@ -289,6 +290,74 @@ def test_bench_non_numeric_config_value(tmp_path, text, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: config line"), lines
     assert captured.out == ""
+
+
+@pytest.fixture()
+def solver_calls(monkeypatch):
+    """Count the solver cells the bench sweep starts."""
+    calls = []
+    run_method = experiments.run_method
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return run_method(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run_method", counted)
+    return calls
+
+
+def _bench_error(tmp_path, capsys, text):
+    """Run `recon bench` on config text; it must exit 2 with one error line."""
+    config = tmp_path / "bench.cfg"
+    config.write_text(text)
+    assert main(["bench", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert captured.out == ""
+    return lines[0]
+
+
+@pytest.mark.parametrize("key, text, value", [
+    ("side", "48", 48),
+    ("side", "16", 16),
+    ("lines", "", ()),
+    ("lines", "10, 0", (10, 0)),
+    ("methods", "", ()),
+    ("methods", "dore, bogus", ("dore", "bogus")),
+    ("tol", "0", 0.0),
+    ("max_iter", "0", 0),
+    ("adore_resolution", "0", 0),
+], ids=["side-48", "side-16", "lines-empty", "lines-zero", "methods-empty",
+        "methods-unknown", "tol", "max_iter", "adore_resolution"])
+def test_bench_config_checked_before_any_solver(tmp_path, capsys, solver_calls, key,
+                                                text, value):
+    with pytest.raises(InputError):
+        BenchConfig(**{key: value})
+    settings = {"side": "32", "lines": "10", "methods": "dore, adore", key: text}
+    config = "".join(f"{name} = {setting}\n" for name, setting in settings.items())
+    line = _bench_error(tmp_path, capsys, config)
+    assert solver_calls == []
+    assert key in line, line
+
+
+def test_bench_duplicate_key_exits_2(tmp_path, capsys):
+    text = "side = 32\nlines = 10\nmethods = mn\nside = 64\n"
+    line = _bench_error(tmp_path, capsys, text)
+    assert line == "error: config line 4: side is set twice"
+
+
+@pytest.mark.parametrize("method, r", [("mn", "-7"), ("adore", "5")])
+def test_phantom_r_rejected_where_unused(tmp_path, capsys, method, r):
+    out = tmp_path / "phantom.json"
+    code = main(["phantom", "--side", "32", "--lines", "10", "--method", method,
+                 "--r", r, "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"error: r applies to ecme, iht and dore only, not to {method}"]
+    assert captured.out == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, flag", [

@@ -1,12 +1,18 @@
 """Problem generators, PSNR, config parsing, benchmark sweep."""
 
+import json
 import math
+import re
+from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sparserecon import (
     BenchConfig,
+    ExperimentReport,
     InputError,
     PartialDft2Operator,
     StoppingRule,
@@ -23,9 +29,12 @@ from sparserecon import (
 )
 from sparserecon.experiments import (
     CSV_HEADER,
+    KNOWN_METHODS,
     phantom_problem,
     report_csv_row,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 # ----------------------------------------------------------------------- psnr
@@ -236,6 +245,139 @@ def test_parse_bench_config_errors():
                  "adore_resolution = 2.5"):
         with pytest.raises(InputError, match="config line 1: "):
             parse_bench_config(text)
+
+
+# The hand-written schema the field-driven code replaced, kept as the
+# reference it must reproduce: the per-key parser chain, the report dict and
+# the config dict of the `recon bench` summary JSON.
+
+def _reference_number(kind, text, where):
+    try:
+        return kind(text)
+    except ValueError:
+        raise InputError(f"{where}: not a number: {text.strip()!r}") from None
+
+
+def _reference_parse_bench_config(text):
+    values = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise InputError(f"config line {lineno}: expected key=value, got {raw!r}")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        where = f"config line {lineno}: {key}"
+        if key == "side":
+            values["side"] = _reference_number(int, value, where)
+        elif key == "lines":
+            values["lines"] = tuple(_reference_number(int, v, where)
+                                    for v in value.split(",") if v.strip())
+        elif key == "methods":
+            methods = tuple(v.strip() for v in value.split(",") if v.strip())
+            unknown = [mth for mth in methods if mth not in KNOWN_METHODS]
+            if unknown:
+                raise InputError(f"unknown methods in config: {unknown}")
+            values["methods"] = methods
+        elif key == "tol":
+            values["tol"] = _reference_number(float, value, where)
+        elif key == "max_iter":
+            values["max_iter"] = _reference_number(int, value, where)
+        elif key == "adore_resolution":
+            values["adore_resolution"] = _reference_number(int, value, where)
+        else:
+            raise InputError(f"config line {lineno}: unknown key {key!r}")
+    return BenchConfig(**values)
+
+
+def _reference_report_dict(report):
+    return {
+        "method": report.method,
+        "n_over_m": report.n_over_m,
+        "psnr_db": report.psnr_db,
+        "iterations": report.iterations,
+        "elapsed_seconds": report.elapsed_seconds,
+        "r_used": report.r_used,
+    }
+
+
+def _reference_config_dict(config):
+    return {
+        "side": config.side,
+        "lines": list(config.lines),
+        "methods": list(config.methods),
+        "tol": config.tol,
+        "max_iter": config.max_iter,
+        "adore_resolution": config.adore_resolution,
+    }
+
+
+_VALID_CONFIG_VALUES = st.fixed_dictionaries({}, optional={
+    "side": st.sampled_from([32, 64, 128, 256, 4096]),
+    "lines": st.lists(st.integers(1, 10**6), min_size=1, max_size=6).map(tuple),
+    "methods": st.lists(st.sampled_from(KNOWN_METHODS), min_size=1,
+                        max_size=7).map(tuple),
+    "tol": st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    "max_iter": st.integers(1, 10**12),
+    "adore_resolution": st.integers(1, 10**6),
+})
+_SPACE = st.sampled_from(["", " ", "   ", "\t"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=_VALID_CONFIG_VALUES, data=st.data())
+def test_parse_bench_config_matches_reference(values, data):
+    # any valid config, written with random key order, spacing, comments and
+    # blank lines, parses equal to the reference and serialises to its bytes
+    lines = []
+    for key in data.draw(st.permutations(sorted(values))):
+        items = values[key] if isinstance(values[key], tuple) else (values[key],)
+        comma = data.draw(_SPACE) + "," + data.draw(_SPACE)
+        text = comma.join(repr(item) if isinstance(item, float) else str(item)
+                          for item in items)
+        comment = data.draw(st.sampled_from(["", " # note", "#side = 7, 8"]))
+        lines.append(f"{data.draw(_SPACE)}{key}{data.draw(_SPACE)}="
+                     f"{data.draw(_SPACE)}{text}{data.draw(_SPACE)}{comment}")
+        lines.extend(data.draw(st.lists(st.sampled_from(["", "  ", "# lines = 0"]),
+                                        max_size=2)))
+    text = "\n".join(lines)
+    config = parse_bench_config(text)
+    assert config == BenchConfig(**values)
+    assert config == _reference_parse_bench_config(text)
+    assert (json.dumps({"config": asdict(config)}, indent=2)
+            == json.dumps({"config": _reference_config_dict(config)}, indent=2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(method=st.sampled_from(KNOWN_METHODS),
+       n_over_m=st.floats(0.0, 1.0),
+       psnr_db=st.floats(allow_nan=False),
+       iterations=st.integers(0, 10**9),
+       elapsed=st.floats(0.0, 1e6),
+       r_used=st.integers(0, 10**9))
+def test_report_json_dict_matches_reference(method, n_over_m, psnr_db, iterations,
+                                            elapsed, r_used):
+    report = ExperimentReport(method, n_over_m, psnr_db, iterations, elapsed, r_used)
+    assert report.to_json_dict() == _reference_report_dict(report)
+    assert (json.dumps(report.to_json_dict(), indent=2)
+            == json.dumps(_reference_report_dict(report), indent=2))
+
+
+def test_csv_header_literal():
+    assert CSV_HEADER == "method,n_over_m,psnr_db,iterations,elapsed_seconds,r_used"
+
+
+def test_readme_bench_config_matches_parser():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    # the documented defaults are the dataclass defaults, key for key
+    table = re.findall(r"^\| `(\w+)` \| `([^`]*)` \|", readme, re.M)
+    assert [key for key, _ in table] == [field.name for field in fields(BenchConfig)]
+    assert parse_bench_config("\n".join(f"{key} = {default}"
+                                         for key, default in table)) == BenchConfig()
+    example = re.search(r"For\s+example:\n\n```\n(.*?)```", readme, re.S).group(1)
+    assert parse_bench_config(example) == BenchConfig(
+        side=64, lines=(7, 14, 22, 28), methods=("iht", "dore", "mn"), max_iter=6000)
 
 
 def test_report_csv_row_format():
