@@ -43,14 +43,7 @@ from .recon import (
     support,
     weighted_error,
 )
-from .dore import (
-    DoreState,
-    OverrelaxationWeights,
-    dore_alpha1,
-    dore_alpha2,
-    dore_run,
-    dore_step,
-)
+from .dore import dore_run, dore_step, dore_weight
 from .model_selection import (
     AdoreResult,
     UssEvaluation,
@@ -98,9 +91,8 @@ __all__ = [
     "ParamEstimate", "ReconstructionResult", "StoppingRule", "ecme_run",
     "ecme_step", "empirical_bayes_estimate", "hard_threshold", "iht_run",
     "minimum_norm_estimate", "sigma2_hat", "support", "weighted_error",
-    "DoreState", "OverrelaxationWeights", "dore_alpha1", "dore_alpha2",
-    "dore_run", "dore_step", "AdoreResult", "UssEvaluation", "UssScorer",
-    "adore_run", "exact_ml_bruteforce", "golden_section_r_search",
+    "dore_run", "dore_step", "dore_weight", "AdoreResult", "UssEvaluation",
+    "UssScorer", "adore_run", "exact_ml_bruteforce", "golden_section_r_search",
     "FixedPointReport", "MatrixCertificate", "RecoveryFlags",
     "SparsityMeasures", "certify", "coherence", "min_ssq", "min_ssq_sampled",
     "ric", "ric_sampled", "spark", "ssq", "urp", "verify_fixed_point",

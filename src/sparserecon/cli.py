@@ -3,7 +3,7 @@
     recon ecme|iht|dore --matrix H.csv --y y.csv --r K [--tol --max-iter --out --out-signal]
     recon adore --matrix H.csv --y y.csv [--resolution L ...]
     recon analyze --matrix H.csv --r-max K [--exact|--sampled] [--out cert.json]
-    recon phantom --side 64 --lines 22 --method dore [--r K] [--out report.json]
+    recon phantom --side 64 --lines 22 --method dore [--r K | --resolution L] [--out report.json]
     recon bench --config bench.cfg [--out-csv ...] [--out-json ...]
 
 Exit codes: 0 success, 2 input error, 3 size-guard error.
@@ -84,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="sparsity level (default: true support size)")
     cmd.add_argument("--tol", type=float, default=DEFAULT_TOL)
     cmd.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
-    cmd.add_argument("--resolution", type=int, default=64,
+    cmd.add_argument("--resolution", type=int, default=None,
                      help="golden-section resolution for adore")
     cmd.add_argument("--out", help="write the report JSON here")
 
@@ -172,11 +172,14 @@ def _cmd_analyze(args) -> int:
 def _cmd_phantom(args) -> int:
     if args.r is not None and args.method in ("adore", "mn"):
         raise InputError(f"r applies to ecme, iht and dore only, not to {args.method}")
+    if args.resolution is not None and args.method != "adore":
+        raise InputError(f"resolution applies to adore only, not to {args.method}")
     problem = phantom_problem(args.side, args.lines)
     r = args.r if args.r is not None else problem.truth_support_size
+    resolution = 64 if args.resolution is None else args.resolution
     stop = StoppingRule(tol=args.tol, max_iter=args.max_iter)
     op = problem.operator
-    run = run_method(args.method, op, problem.y, r, stop, args.resolution)
+    run = run_method(args.method, op, problem.y, r, stop, resolution)
     value = phantom_psnr(problem, run.estimate)
     n_over_m = op.n_rows / op.n_cols
     print(f"phantom side={args.side} lines={args.lines} N/m={n_over_m:.3f} "

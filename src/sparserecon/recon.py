@@ -16,12 +16,14 @@ which monotonically decreases the weighted squared error
 ``ecme_step`` is that update written out directly; it is the reference the
 tests compare against.  The solvers run it from cached images instead:
 the driver behind ``ecme_run``, ``iht_run`` and ``dore_run`` validates the
-input, computes g_y = (H H^T)^{-1} y, H s and (H H^T)^{-1} H s once, and
-owns the objective trace, the stopping test and the result.  Each plain
-step then refines by z = s + H^T (g_y - g_s) and images the thresholded
-signal, at 1 apply, 1 gram solve and 1 adjoint per iteration.  A method
-supplies only its step: ECME and IHT take the plain step throughout, DORE
-takes two plain steps and then its overrelaxed step (``dore.dore_step``).
+input, computes g_y = (H H^T)^{-1} y once, and carries each iterate as an
+``Iterate``: the signal s, sigma2 and the images H s and (H H^T)^{-1} H s.
+It owns the objective trace, the stopping test and the result, whose one
+``ParamEstimate`` it builds after the loop.  Each plain step refines by
+z = s + H^T (g_y - g_s) and images the thresholded signal, at 1 apply,
+1 gram solve and 1 adjoint per iteration.  A method supplies only its
+step: ECME and IHT take the plain step throughout, DORE takes two plain
+steps and then its overrelaxed step (``dore.dore_step``).
 
 With orthonormal rows (H H^T = I) the refinement step is exactly one
 iterative-hard-thresholding (IHT) step; ``iht_run`` is that special case
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -157,52 +160,6 @@ class ReconstructionResult:
         return out
 
 
-@dataclass(frozen=True)
-class DoreState:
-    """Two consecutive parameter estimates plus their cached images.
-
-    ``h_*`` holds H s and ``g_*`` holds (H H^T)^{-1} H s for the previous
-    and current signals; ``g_y`` caches (H H^T)^{-1} y for the whole run.
-    ``branch`` records which candidate the last decision step accepted
-    (None after a plain step).  Every run carries this state; only DORE's
-    second line search reads the previous iterate.
-    """
-
-    theta_prev: ParamEstimate
-    theta_curr: ParamEstimate
-    h_prev: np.ndarray
-    g_prev: np.ndarray
-    h_curr: np.ndarray
-    g_curr: np.ndarray
-    g_y: np.ndarray
-    branch: str | None = None
-
-    def advance(self, theta: ParamEstimate, h: np.ndarray, g: np.ndarray,
-                branch: str | None = None) -> DoreState:
-        """The state after accepting theta, whose images are h and g."""
-        return DoreState(
-            theta_prev=self.theta_curr, theta_curr=theta,
-            h_prev=self.h_curr, g_prev=self.g_curr, h_curr=h, g_curr=g,
-            g_y=self.g_y, branch=branch,
-        )
-
-    def verify_cache(self, op: SensingOperator, y, rtol: float = 1e-10) -> bool:
-        """Debug check: cached images consistent with the stored signals."""
-        y = _as_measurements(op, y)
-        pairs = [
-            (self.h_prev, op.apply(self.theta_prev.s)),
-            (self.g_prev, op.gram_solve(op.apply(self.theta_prev.s))),
-            (self.h_curr, op.apply(self.theta_curr.s)),
-            (self.g_curr, op.gram_solve(op.apply(self.theta_curr.s))),
-            (self.g_y, op.gram_solve(y)),
-        ]
-        for cached, fresh in pairs:
-            scale = max(1.0, float(np.max(np.abs(fresh))))
-            if np.max(np.abs(cached - fresh)) > rtol * scale:
-                return False
-        return True
-
-
 def sigma2_hat(op: SensingOperator, y, s) -> float:
     """Closed-form variance estimate (y - Hs)^T (H H^T)^{-1} (y - Hs) / N.
 
@@ -211,12 +168,6 @@ def sigma2_hat(op: SensingOperator, y, s) -> float:
     y = _as_measurements(op, y)
     residual = y - op.apply(s)
     value = float(residual @ op.gram_solve(residual)) / op.n_rows
-    return max(value, 0.0)
-
-
-def _quadratic_sigma2(y, h_s, g_y, g_s, n_rows: int) -> float:
-    """(y - Hs)^T (H H^T)^{-1} (y - Hs) / N from cached images."""
-    value = float((y - h_s) @ (g_y - g_s)) / n_rows
     return max(value, 0.0)
 
 
@@ -231,19 +182,33 @@ def ecme_step(op: SensingOperator, y, theta: ParamEstimate) -> ParamEstimate:
     return ParamEstimate(s_next, sigma2_hat(op, y, s_next), theta.r)
 
 
-def cached_ecme_step(op: SensingOperator, y, state: DoreState, r: int) -> DoreState:
-    """The refinement of :func:`ecme_step` from the state's cached images.
+class Iterate(NamedTuple):
+    """One iterate of the loop: the signal, its variance estimate, and its
+    images h = H s and g = (H H^T)^{-1} H s."""
+
+    s: np.ndarray
+    sigma2: float
+    h: np.ndarray
+    g: np.ndarray
+
+
+def _image(op: SensingOperator, y, g_y, s) -> Iterate:
+    """s as an :class:`Iterate`: 1 apply and 1 gram solve, then sigma2 =
+    (y - H s)^T (g_y - g) / N from the images, clamped at 0."""
+    h = op.apply(s)
+    g = op.gram_solve(h)
+    return Iterate(s, max(float((y - h) @ (g_y - g)) / op.n_rows, 0.0), h, g)
+
+
+def _plain_step(op: SensingOperator, y, g_y, curr: Iterate, r: int) -> Iterate:
+    """The refinement of :func:`ecme_step` from the cached images.
 
     z = s + H^T (g_y - g_s) needs one adjoint; imaging the thresholded
     signal costs one apply and one gram solve.  On orthonormal rows this
     is bit-identical to ``ecme_step``; otherwise it rounds differently.
     """
-    z = state.theta_curr.s + op.apply_adjoint(state.g_y - state.g_curr)
-    s_next = hard_threshold(z, r)
-    h_next = op.apply(s_next)
-    g_next = op.gram_solve(h_next)
-    sigma2 = _quadratic_sigma2(y, h_next, state.g_y, g_next, op.n_rows)
-    return state.advance(ParamEstimate(s_next, sigma2, r), h_next, g_next)
+    z = curr.s + op.apply_adjoint(g_y - curr.g)
+    return _image(op, y, g_y, hard_threshold(z, r))
 
 
 def _as_measurements(op: SensingOperator, y) -> np.ndarray:
@@ -273,12 +238,11 @@ def _drive(op: SensingOperator, y, r: int, s0, stop: StoppingRule | None,
            step=None) -> ReconstructionResult:
     """The iteration loop behind every solver.
 
-    Runs :func:`cached_ecme_step` until the stopping rule fires.  When
-    ``step`` is given (``dore.dore_step``: a function of (op, y, state, r)
-    returning the next state and its line-search weights), the first two
-    updates stay plain steps, to seed both iterates of the state, and
-    ``step`` takes every later one; its decisions are recorded in
-    ``branches``.
+    Runs :func:`_plain_step` until the stopping rule fires.  When ``step``
+    is given (``dore.dore_step``: a function of (op, y, g_y, prev, curr, r)
+    returning the next :class:`Iterate` and the branch it took), the first
+    two updates stay plain steps, to seed both iterates, and ``step`` takes
+    every later one; its branches are recorded in ``branches``.
     """
     stop = stop or StoppingRule()
     y = _as_measurements(op, y)
@@ -287,26 +251,24 @@ def _drive(op: SensingOperator, y, r: int, s0, stop: StoppingRule | None,
     start = time.perf_counter()
     s = _initial_signal(op, r, s0)
     g_y = op.gram_solve(y)
-    h = op.apply(s)
-    g = op.gram_solve(h)
-    theta = ParamEstimate(s, _quadratic_sigma2(y, h, g_y, g, op.n_rows), r)
-    state = DoreState(theta, theta, h, g, h, g, g_y)
-    trace = [op.n_rows * theta.sigma2]
+    prev = curr = _image(op, y, g_y, s)
+    trace = [op.n_rows * curr.sigma2]
     branches = None if step is None else []
     iterations = 0
     converged = False
     while not converged and iterations < stop.max_iter:
         if step is None or iterations < 2:
-            state = cached_ecme_step(op, y, state, r)
+            nxt = _plain_step(op, y, g_y, curr, r)
         else:
-            state, _ = step(op, y, state, r)
-            branches.append(state.branch)
+            nxt, branch = step(op, y, g_y, prev, curr, r)
+            branches.append(branch)
+        prev, curr = curr, nxt
         iterations += 1
-        trace.append(op.n_rows * state.theta_curr.sigma2)
-        step_ssq = float(np.sum((state.theta_curr.s - state.theta_prev.s) ** 2))
+        trace.append(op.n_rows * curr.sigma2)
+        step_ssq = float(np.sum((curr.s - prev.s) ** 2))
         converged = step_ssq / op.n_cols < stop.tol
     return ReconstructionResult(
-        estimate=state.theta_curr,
+        estimate=ParamEstimate(curr.s, curr.sigma2, r),
         trace=trace,
         iterations=iterations,
         converged=converged,

@@ -21,8 +21,7 @@ from sparserecon import (
     adore_run,
     benchmark_sweep,
     dore_run,
-    dore_alpha1,
-    dore_alpha2,
+    dore_weight,
     ecme_run,
     ecme_step,
     exact_ml_bruteforce,
@@ -276,7 +275,7 @@ def test_criterion_09_line_search_optimality():
             g_hat = op.gram_solve(h_hat)
             h_curr = op.apply(t2.s)
             g_curr = op.gram_solve(h_curr)
-            alpha1 = dore_alpha1(h_hat, g_hat, h_curr, g_curr, g_y)
+            alpha1 = dore_weight(h_hat, g_hat, h_curr, g_curr, g_y)
             d1 = t_hat.s - t2.s
             best1 = weighted_error(op, y, t_hat.s + alpha1 * d1)
             for a in rng.uniform(-3.0, 3.0, size=100):
@@ -286,7 +285,7 @@ def test_criterion_09_line_search_optimality():
             g_bar = g_hat + alpha1 * (g_hat - g_curr)
             h_prev = op.apply(t1.s)
             g_prev = op.gram_solve(h_prev)
-            alpha2 = dore_alpha2(h_bar, g_bar, h_prev, g_prev, g_y)
+            alpha2 = dore_weight(h_bar, g_bar, h_prev, g_prev, g_y)
             d2 = z_bar - t1.s
             best2 = weighted_error(op, y, z_bar + alpha2 * d2)
             for a in rng.uniform(-3.0, 3.0, size=100):

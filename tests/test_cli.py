@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sparserecon import BenchConfig, InputError, experiments
+from sparserecon import BenchConfig, InputError, cli, experiments
 from sparserecon.cli import main
 from sparserecon.dataio import (
     load_matrix_csv,
@@ -358,6 +358,36 @@ def test_phantom_r_rejected_where_unused(tmp_path, capsys, method, r):
         f"error: r applies to ecme, iht and dore only, not to {method}"]
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("method, resolution",
+                         [("dore", "0"), ("ecme", "64"), ("iht", "1"), ("mn", "5")])
+def test_phantom_resolution_rejected_where_unused(tmp_path, capsys, method, resolution):
+    out = tmp_path / "phantom.json"
+    code = main(["phantom", "--side", "32", "--lines", "10", "--method", method,
+                 "--resolution", resolution, "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"error: resolution applies to adore only, not to {method}"]
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, expected", [([], 64), (["--resolution", "3"], 3)],
+                         ids=["default", "set"])
+def test_phantom_adore_resolution(monkeypatch, capsys, flag, expected):
+    seen = []
+
+    def recorded(method, op, y, r, stop, resolution):
+        seen.append(resolution)
+        return experiments.run_method(method, op, y, r, stop, resolution)
+
+    monkeypatch.setattr(cli, "run_method", recorded)
+    assert main(["phantom", "--side", "32", "--lines", "10", "--method", "adore",
+                 "--max-iter", "200", *flag]) == 0
+    assert seen == [expected]
+    assert "method=adore" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command, flag", [
