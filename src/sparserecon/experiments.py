@@ -154,13 +154,17 @@ def random_instance(m: int, n_rows: int, r_true: int, noise_sigma: float,
     """Gaussian test ensemble: random dense H, planted r_true-sparse signal.
 
     Entries of H and the nonzero signal values are standard normal; the
-    support is uniform without replacement.  y = H s + noise_sigma * n.
-    Fully determined by the seed.
+    support is uniform without replacement.  y = H s + noise_sigma * n,
+    with noise_sigma finite and nonnegative; at 0 no noise is drawn.  Fully
+    determined by the seed.
     """
     if not 1 <= n_rows <= m:
         raise InputError(f"need 1 <= N <= m, got N={n_rows}, m={m}")
     if not 0 <= r_true <= m:
         raise InputError(f"r_true={r_true} outside [0, {m}]")
+    if not 0 <= noise_sigma < math.inf:
+        raise InputError("noise_sigma must be finite and nonnegative, "
+                         f"got {noise_sigma}")
     rng = np.random.default_rng(seed)
     matrix = rng.standard_normal((n_rows, m))
     truth = np.zeros(m)

@@ -24,27 +24,30 @@ rounding of G and ``eigvalsh``, and runs its pivoted-QR rank test only on
 the subsets the screen cannot clear, so it returns what that test alone
 would.
 
-``certify`` bundles the measures into a machine-readable certificate with
-two recovery flags per sparsity level:
+Each measure has one body, ``_min_ssq`` or ``_ric``, over a stream of
+supports; the exact and the sampled (non-exact) modes differ only in that
+stream: every support behind the size guard, or ``_sampled_supports``.
+Sampled modes exist for matrices too large for enumeration; they are
+labeled non-exact and never feed certificates.
+
+``certify`` bundles the exact measures into a certificate, whose JSON form
+is built from its fields, with two recovery flags per sparsity level:
 
 * uniqueness of the sparsest solution requires min 2r-SSQ > 0, and
 * guaranteed exact/near-optimal thresholding recovery requires
   min 2r-SSQ > 0.5.
-
-Randomized fallbacks (sampled supports) exist for matrices too large for
-enumeration; they are labeled non-exact and never feed certificates.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
 from itertools import chain, combinations, islice
 
 import numpy as np
 import scipy.linalg
 
-from .errors import InputError, SizeGuardError
+from .errors import InputError, SizeGuardError, _require_integer
 from .operators import DenseOperator, SensingOperator, _finite_matrix
 from .recon import _as_measurements
 
@@ -63,12 +66,14 @@ def _as_matrix(h) -> np.ndarray:
     return _finite_matrix(h)
 
 
-def _check_guard(m: int, r: int, guard: int) -> None:
+def _exact_supports(m: int, r: int, guard: int):
+    """Every size-r support in lexicographic order, behind the size guard."""
     if math.comb(m, r) > guard:
         raise SizeGuardError(
             f"enumerating C({m},{r})={math.comb(m, r)} supports exceeds the "
             f"guard of {guard}; use the sampled (non-exact) mode instead"
         )
+    return combinations(range(m), r)
 
 
 def ssq(s, h) -> float:
@@ -133,17 +138,38 @@ def _best_support(form: np.ndarray, supports, r: int, score,
     return best, best_support
 
 
-def _smallest_eig(eigs: np.ndarray) -> np.ndarray:
-    return eigs[:, 0]
+def _checked_level(h, r: int, name: str = "sparsity level r") -> np.ndarray:
+    """h as a checked dense matrix, with ``r`` an integer in [1, m]."""
+    h = _as_matrix(h)
+    _require_integer(r, name)
+    if not 1 <= r <= h.shape[1]:
+        raise InputError(f"{name}={r} outside [1, {h.shape[1]}]")
+    return h
 
 
-def _negative_isometry_deviation(eigs: np.ndarray) -> np.ndarray:
-    return -np.maximum(np.abs(1.0 - eigs[:, 0]), np.abs(eigs[:, -1] - 1.0))
+def _min_ssq(h: np.ndarray, r: int, supports, stop_at: float = -np.inf
+             ) -> tuple[float, tuple[int, ...]]:
+    """Minimum r-SSQ, clamped to [0, 1], over the blocks of Q = H^T (H H^T)^{-1} H
+    at the supports ``supports()`` streams.  It is called before Q is formed,
+    and not at all when r > N: any r columns are then dependent and the first
+    r are returned.  A support scoring at or below ``stop_at`` counts as exactly
+    0 and ends the search."""
+    if r > h.shape[0]:
+        return 0.0, tuple(range(r))
+    supports = supports()
+    q = h.T @ DenseOperator(h).gram_solve(h)
+    best, best_support = _best_support(q, supports, r, lambda eigs: eigs[:, 0], stop_at)
+    if best <= stop_at:
+        best = 0.0
+    return min(max(best, 0.0), 1.0), best_support
 
 
-def _projection_form(h: np.ndarray) -> np.ndarray:
-    """Q = H^T (H H^T)^{-1} H, whose principal blocks are the restricted forms."""
-    return h.T @ DenseOperator(h).gram_solve(h)
+def _ric(h: np.ndarray, r: int, supports) -> tuple[float, tuple[int, ...]]:
+    """Largest deviation from 1 of the H_A^T H_A eigenvalues over ``supports``."""
+    worst, worst_support = _best_support(
+        h.T @ h, supports, r,
+        lambda eigs: -np.maximum(np.abs(1.0 - eigs[:, 0]), np.abs(eigs[:, -1] - 1.0)))
+    return -worst, worst_support
 
 
 def min_ssq(h, r: int, guard: int = MIN_SSQ_GUARD) -> tuple[float, tuple[int, ...]]:
@@ -154,32 +180,15 @@ def min_ssq(h, r: int, guard: int = MIN_SSQ_GUARD) -> tuple[float, tuple[int, ..
     singular restriction is found (the minimum cannot drop below zero); the
     support returned is then the lexicographically first singular one.
     """
-    h = _as_matrix(h)
-    n, m = h.shape
-    if not 1 <= r <= m:
-        raise InputError(f"sparsity level r={r} outside [1, {m}]")
-    if r > n:
-        # any size-r restriction is rank deficient
-        return 0.0, tuple(range(r))
-    _check_guard(m, r, guard)
-    best, best_support = _best_support(_projection_form(h), combinations(range(m), r),
-                                       r, _smallest_eig, _ZERO_EIG_TOL)
-    if best <= _ZERO_EIG_TOL:
-        best = 0.0
-    return min(max(best, 0.0), 1.0), best_support
+    h = _checked_level(h, r)
+    return _min_ssq(h, r, lambda: _exact_supports(h.shape[1], r, guard), _ZERO_EIG_TOL)
 
 
 def ric(h, r: int, guard: int = MIN_SSQ_GUARD) -> tuple[float, tuple[int, ...]]:
     """Exact restricted isometry constant for sparsity level r, with a
     support attaining the worst deviation of H_A^T H_A eigenvalues from 1."""
-    h = _as_matrix(h)
-    n, m = h.shape
-    if not 1 <= r <= m:
-        raise InputError(f"sparsity level r={r} outside [1, {m}]")
-    _check_guard(m, r, guard)
-    worst, worst_support = _best_support(h.T @ h, combinations(range(m), r), r,
-                                         _negative_isometry_deviation)
-    return -worst, worst_support
+    h = _checked_level(h, r)
+    return _ric(h, r, _exact_supports(h.shape[1], r, guard))
 
 
 def min_ssq_sampled(h, r: int, n_samples: int = SAMPLED_SUPPORTS, seed: int = 0
@@ -189,15 +198,9 @@ def min_ssq_sampled(h, r: int, n_samples: int = SAMPLED_SUPPORTS, seed: int = 0
     Upper bound on the true minimum (sampling can only miss the worst
     support).  Never feeds certificates.
     """
-    h = _as_matrix(h)
-    n, m = h.shape
-    if not 1 <= r <= m:
-        raise InputError(f"sparsity level r={r} outside [1, {m}]")
-    supports = _sampled_supports(m, r, n_samples, seed)  # checks n_samples
-    if r > n:
-        return 0.0, tuple(range(r))
-    best, best_support = _best_support(_projection_form(h), supports, r, _smallest_eig)
-    return min(max(best, 0.0), 1.0), best_support
+    h = _checked_level(h, r)
+    supports = _sampled_supports(h.shape[1], r, n_samples, seed)  # checks n_samples
+    return _min_ssq(h, r, lambda: supports)
 
 
 def ric_sampled(h, r: int, n_samples: int = SAMPLED_SUPPORTS, seed: int = 0
@@ -207,13 +210,8 @@ def ric_sampled(h, r: int, n_samples: int = SAMPLED_SUPPORTS, seed: int = 0
     Lower bound on the true constant (sampling can only miss the worst
     support).  Never feeds certificates.
     """
-    h = _as_matrix(h)
-    _, m = h.shape
-    if not 1 <= r <= m:
-        raise InputError(f"sparsity level r={r} outside [1, {m}]")
-    worst, worst_support = _best_support(h.T @ h, _sampled_supports(m, r, n_samples, seed),
-                                         r, _negative_isometry_deviation)
-    return -worst, worst_support
+    h = _checked_level(h, r)
+    return _ric(h, r, _sampled_supports(h.shape[1], r, n_samples, seed))
 
 
 def spark(h, guard: int = MIN_SSQ_GUARD) -> int:
@@ -310,33 +308,21 @@ class MatrixCertificate:
     flags: tuple[RecoveryFlags, ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "n_rows": self.n_rows,
-            "n_cols": self.n_cols,
-            "spark": self.spark,
-            "spark_min": self.spark_min,
-            "urp": self.urp,
-            "coherence": self.coherence,
-            "per_r": [
-                {
-                    "r": e.r,
-                    "rho_min": e.rho_min,
-                    "worst_support": list(e.worst_support),
-                    "gamma": e.gamma,
-                    "ric_support": list(e.ric_support),
-                }
-                for e in self.per_r
-            ],
-            "guarantees": [
-                {
-                    "r": f.r,
-                    "rho_2r_min": f.rho_2r_min,
-                    "p0_unique": f.p0_unique,
-                    "recovery_guaranteed": f.recovery_guaranteed,
-                }
-                for f in self.flags
-            ],
-        }
+        """The fields, records as dicts and tuples as lists; ``flags`` is
+        written under the key "guarantees"."""
+        out = _json_fields(self)
+        out["guarantees"] = out.pop("flags")
+        return out
+
+
+def _json_fields(value):
+    """A frozen record as a dict of its fields, in field order, and a tuple
+    as a list, recursively; any other value as it is."""
+    if isinstance(value, tuple):
+        return [_json_fields(item) for item in value]
+    if is_dataclass(value):
+        return {key: _json_fields(item) for key, item in vars(value).items()}
+    return value
 
 
 def certify(h, r_max: int, guard: int = MIN_SSQ_GUARD) -> MatrixCertificate:
@@ -347,10 +333,8 @@ def certify(h, r_max: int, guard: int = MIN_SSQ_GUARD) -> MatrixCertificate:
     search fits the guard; otherwise only the lower bound implied by the
     computed min-SSQ values is certified.
     """
-    h = _as_matrix(h)
+    h = _checked_level(h, r_max, "r_max")
     n, m = h.shape
-    if not 1 <= r_max <= m:
-        raise InputError(f"r_max={r_max} outside [1, {m}]")
     # each min-SSQ level once, ascending: 1..r_max, then the 2r <= N above it
     levels = {*range(1, r_max + 1), *(2 * r for r in range(1, r_max + 1) if 2 * r <= n)}
     rho: dict[int, float] = {}
@@ -367,19 +351,11 @@ def certify(h, r_max: int, guard: int = MIN_SSQ_GUARD) -> MatrixCertificate:
         spark_min = exact_spark = spark(h, guard)
         known_urp: bool | None = exact_spark == n + 1
     except SizeGuardError:
-        exact_spark = None
-        known_urp = None
+        exact_spark = known_urp = None
         spark_min = 1 + max((k for k, value in rho.items() if value > 0.0), default=0)
-    return MatrixCertificate(
-        n_rows=n,
-        n_cols=m,
-        spark=exact_spark,
-        spark_min=spark_min,
-        urp=known_urp,
-        coherence=coherence(h),
-        per_r=tuple(per_r),
-        flags=tuple(flags),
-    )
+    return MatrixCertificate(n_rows=n, n_cols=m, spark=exact_spark, spark_min=spark_min,
+                             urp=known_urp, coherence=coherence(h),
+                             per_r=tuple(per_r), flags=tuple(flags))
 
 
 @dataclass(frozen=True)

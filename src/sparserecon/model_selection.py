@@ -9,8 +9,8 @@ against model size:
 with b = y^T (H H^T)^{-1} y / N the variance of the empty model, so
 USS(0) = 0 and the score is invariant to rescaling y.  When the fitted
 variance hits zero the score diverges to +infinity with growth rate
-(N - r - 2) / 2; sentinel values are therefore ranked by N - r - 2, which
-prefers the smallest such r.
+(N - r - 2) / 2; scores are therefore ordered by (value, N - r - 2), which
+among infinite or equal scores prefers the smallest r.
 
 ``exact_ml_bruteforce`` enumerates supports to produce the exact
 maximum-likelihood variance for tiny instances; it doubles as the oracle
@@ -30,7 +30,7 @@ from itertools import combinations
 import numpy as np
 
 from .dore import dore_run
-from .errors import InputError, SizeGuardError
+from .errors import InputError, SizeGuardError, _require_integer
 from .matrix_analysis import _as_matrix
 from .operators import DenseOperator, SensingOperator
 from .recon import (
@@ -49,10 +49,10 @@ ZERO_VARIANCE_REL = 1e-12
 class UssEvaluation:
     """Score of one candidate sparsity level.
 
-    ``uss_value`` may be +/-inf; infinite scores are ordered by
-    ``growth_rate`` = N - r - 2 (the divergence rate), so among perfect
-    fits the smallest r wins.  ``sort_key`` is a total order usable
-    directly as a comparison key.
+    ``uss_value`` may be +/-inf but never NaN.  ``sort_key`` orders by the
+    value, then by ``growth_rate`` = N - r - 2 (the divergence rate), so
+    among perfect fits, and among equal scores, the smallest r wins; it is
+    a total order usable directly as a comparison key.
     """
 
     r: int
@@ -61,12 +61,8 @@ class UssEvaluation:
     growth_rate: int
 
     @property
-    def sort_key(self) -> tuple[float, float]:
-        if math.isinf(self.uss_value):
-            if self.uss_value > 0:
-                return (2.0, float(self.growth_rate))
-            return (0.0, 0.0)
-        return (1.0, self.uss_value)
+    def sort_key(self) -> tuple[float, int]:
+        return (self.uss_value, self.growth_rate)
 
 
 class UssScorer:
@@ -83,16 +79,12 @@ class UssScorer:
         self.zero_cutoff = ZERO_VARIANCE_REL * baseline
 
     def evaluate(self, r: int, sigma2_est: float) -> UssEvaluation:
-        if sigma2_est < 0:
-            raise InputError("sigma2_est must be nonnegative")
+        if not sigma2_est >= 0:
+            raise InputError(f"sigma2_est must be nonnegative, got {sigma2_est}")
         growth = self.n_rows - r - 2
         if sigma2_est <= self.zero_cutoff:
-            if growth > 0:
-                value = math.inf
-            elif growth == 0:
-                value = -0.5 * r * math.log(self.n_rows / self.n_cols)
-            else:
-                value = -math.inf
+            value = (-0.5 * r * math.log(self.n_rows / self.n_cols) if growth == 0
+                     else math.copysign(math.inf, growth))
         else:
             value = (
                 -0.5 * r * math.log(self.n_rows / self.n_cols)
@@ -113,6 +105,7 @@ def exact_ml_bruteforce(op, y, r: int, guard: int = BRUTE_FORCE_GUARD) -> ParamE
     dense = op if isinstance(op, DenseOperator) else DenseOperator(matrix)
     n, m = matrix.shape
     y = _as_measurements(dense, y)
+    _require_integer(r, "sparsity level r")
     if not 0 <= r <= m:
         raise InputError(f"sparsity level r={r} outside [0, {m}]")
     if math.comb(m, r) > guard:
@@ -161,8 +154,10 @@ def golden_section_r_search(evaluator, r_max: int, resolution: int = 1) -> int:
     r_max or more acts as max(r_max - 1, 1), so the bracket is probed at
     least once, and at r_max = 1 the sweep scores 0, then 1.
     """
+    _require_integer(r_max, "r_max")
     if r_max < 1:
         raise InputError("r_max must be at least 1")
+    _require_integer(resolution, "resolution")
     if resolution < 1:
         raise InputError(f"resolution must be at least 1, got {resolution}")
     resolution = min(resolution, max(r_max - 1, 1))

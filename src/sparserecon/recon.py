@@ -33,13 +33,14 @@ bit for bit.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, _require_integer
 from .operators import SensingOperator
 
 DEFAULT_TOL = 1e-14
@@ -58,6 +59,7 @@ def hard_threshold(x, r: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise InputError("hard_threshold expects a 1-D vector")
+    _require_integer(r, "sparsity level r")
     if not 0 <= r <= x.size:
         raise InputError(f"sparsity level r={r} outside [0, {x.size}]")
     if r == 0:
@@ -97,7 +99,8 @@ def support(x) -> np.ndarray:
 class ParamEstimate:
     """Signal/variance parameter pair tagged with its sparsity level.
 
-    Invariants: the signal has at most r nonzeros and sigma2 >= 0.
+    Invariants: the signal has at most r nonzeros and sigma2 >= 0 (NaN is
+    rejected).
     """
 
     s: np.ndarray
@@ -107,7 +110,7 @@ class ParamEstimate:
     def __post_init__(self):
         s = np.asarray(self.s, dtype=float)
         object.__setattr__(self, "s", s)
-        if self.sigma2 < 0:
+        if not self.sigma2 >= 0:
             raise InputError(f"sigma2 must be nonnegative, got {self.sigma2}")
         if self.r < 0:
             raise InputError(f"sparsity level must be nonnegative, got {self.r}")
@@ -119,14 +122,18 @@ class ParamEstimate:
 
 @dataclass(frozen=True)
 class StoppingRule:
-    """Stop when ||s_next - s||^2 / m < tol, or after max_iter updates."""
+    """Stop when ||s_next - s||^2 / m < tol, or after max_iter updates.
+
+    tol must be positive and finite, max_iter an integer of at least 1.
+    """
 
     tol: float = DEFAULT_TOL
     max_iter: int = DEFAULT_MAX_ITER
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise InputError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise InputError(f"tol must be positive and finite, got {self.tol}")
+        _require_integer(self.max_iter, "max_iter")
         if self.max_iter < 1:
             raise InputError("max_iter must be at least 1")
 
@@ -246,6 +253,7 @@ def _drive(op: SensingOperator, y, r: int, s0, stop: StoppingRule | None,
     """
     stop = stop or StoppingRule()
     y = _as_measurements(op, y)
+    _require_integer(r, "sparsity level r")
     if not 0 <= r <= op.n_cols:
         raise InputError(f"sparsity level r={r} outside [0, {op.n_cols}]")
     start = time.perf_counter()

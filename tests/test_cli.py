@@ -88,6 +88,18 @@ def test_adore_resolution_below_one_exits_2(toy_files, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: resolution"), lines
 
 
+@pytest.mark.parametrize("command", ["ecme", "dore", "adore"])
+def test_non_finite_tol_exits_2(toy_files, capsys, command):
+    matrix_path, y_path = toy_files
+    level = [] if command == "adore" else ["--r", "1"]
+    assert main([command, "--matrix", matrix_path, "--y", y_path, *level,
+                 "--tol", "inf"]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: tol must be positive"), lines
+    assert captured.out == ""
+
+
 def test_analyze_exact(tmp_path, toy_files, capsys):
     matrix_path, _ = toy_files
     out = tmp_path / "cert.json"
@@ -326,10 +338,11 @@ def _bench_error(tmp_path, capsys, text):
     ("methods", "", ()),
     ("methods", "dore, bogus", ("dore", "bogus")),
     ("tol", "0", 0.0),
+    ("tol", "inf", float("inf")),
     ("max_iter", "0", 0),
     ("adore_resolution", "0", 0),
 ], ids=["side-48", "side-16", "lines-empty", "lines-zero", "methods-empty",
-        "methods-unknown", "tol", "max_iter", "adore_resolution"])
+        "methods-unknown", "tol", "tol-inf", "max_iter", "adore_resolution"])
 def test_bench_config_checked_before_any_solver(tmp_path, capsys, solver_calls, key,
                                                 text, value):
     with pytest.raises(InputError):

@@ -190,6 +190,12 @@ def test_random_instance_validation():
         random_instance(10, 5, 11, 0.0, seed=0)
 
 
+@pytest.mark.parametrize("noise_sigma", [-1.0, np.nan, np.inf], ids=["negative", "nan", "inf"])
+def test_random_instance_bad_noise_rejected(noise_sigma):
+    with pytest.raises(InputError, match="noise_sigma"):
+        random_instance(10, 6, 2, noise_sigma, seed=0)
+
+
 def test_phantom_problem_composition():
     problem = phantom_problem(32, 12)
     assert problem.operator.rows_orthonormal

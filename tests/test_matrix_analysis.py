@@ -1,7 +1,9 @@
 """Exact matrix measures: SSQ, RIC, spark, certificates, stationarity."""
 
+import json
 import math
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -616,6 +618,167 @@ def test_kernel_tie_and_stop_rules(monkeypatch):
     assert best([0.3, 0.2, 0.5, 0.2, 0.2, 0.9]) == (0.2, (1,))
     assert best([0.5, 0.4, 0.3, 0.2, 1e-15, -1e-3, 0.1], 1e-14) == (1e-15, (4,))
     assert best([0.5, 0.4, 0.3, 0.2, 1e-15, -1e-3, 0.1]) == (-1e-3, (5,))
+
+
+# ------------------------------- one body per measure against the earlier four
+#
+# The four measure bodies and the hand-written certificate schema as they
+# were before exact and sampled modes shared one body each, kept as
+# references that the refactor must match bit for bit: values, supports,
+# exception types and messages, and the certificate's JSON text.
+
+def _reference_check_guard(m, r, guard):
+    if math.comb(m, r) > guard:
+        raise SizeGuardError(
+            f"enumerating C({m},{r})={math.comb(m, r)} supports exceeds the "
+            f"guard of {guard}; use the sampled (non-exact) mode instead"
+        )
+
+
+def _reference_smallest_eig(eigs):
+    return eigs[:, 0]
+
+
+def _reference_negative_isometry_deviation(eigs):
+    return -np.maximum(np.abs(1.0 - eigs[:, 0]), np.abs(eigs[:, -1] - 1.0))
+
+
+def _reference_projection_form(h):
+    return h.T @ DenseOperator(h).gram_solve(h)
+
+
+def _reference_min_ssq(h, r, guard=MIN_SSQ_GUARD):
+    h = matrix_analysis._as_matrix(h)
+    n, m = h.shape
+    if not 1 <= r <= m:
+        raise InputError(f"sparsity level r={r} outside [1, {m}]")
+    if r > n:
+        return 0.0, tuple(range(r))
+    _reference_check_guard(m, r, guard)
+    best, best_support = matrix_analysis._best_support(
+        _reference_projection_form(h), combinations(range(m), r), r,
+        _reference_smallest_eig, matrix_analysis._ZERO_EIG_TOL)
+    if best <= matrix_analysis._ZERO_EIG_TOL:
+        best = 0.0
+    return min(max(best, 0.0), 1.0), best_support
+
+
+def _reference_ric(h, r, guard=MIN_SSQ_GUARD):
+    h = matrix_analysis._as_matrix(h)
+    n, m = h.shape
+    if not 1 <= r <= m:
+        raise InputError(f"sparsity level r={r} outside [1, {m}]")
+    _reference_check_guard(m, r, guard)
+    worst, worst_support = matrix_analysis._best_support(
+        h.T @ h, combinations(range(m), r), r, _reference_negative_isometry_deviation)
+    return -worst, worst_support
+
+
+def _reference_min_ssq_sampled(h, r, n_samples=matrix_analysis.SAMPLED_SUPPORTS, seed=0):
+    h = matrix_analysis._as_matrix(h)
+    n, m = h.shape
+    if not 1 <= r <= m:
+        raise InputError(f"sparsity level r={r} outside [1, {m}]")
+    supports = matrix_analysis._sampled_supports(m, r, n_samples, seed)
+    if r > n:
+        return 0.0, tuple(range(r))
+    best, best_support = matrix_analysis._best_support(
+        _reference_projection_form(h), supports, r, _reference_smallest_eig)
+    return min(max(best, 0.0), 1.0), best_support
+
+
+def _reference_ric_sampled(h, r, n_samples=matrix_analysis.SAMPLED_SUPPORTS, seed=0):
+    h = matrix_analysis._as_matrix(h)
+    _, m = h.shape
+    if not 1 <= r <= m:
+        raise InputError(f"sparsity level r={r} outside [1, {m}]")
+    worst, worst_support = matrix_analysis._best_support(
+        h.T @ h, matrix_analysis._sampled_supports(m, r, n_samples, seed), r,
+        _reference_negative_isometry_deviation)
+    return -worst, worst_support
+
+
+def _reference_to_json_dict(cert):
+    return {
+        "n_rows": cert.n_rows,
+        "n_cols": cert.n_cols,
+        "spark": cert.spark,
+        "spark_min": cert.spark_min,
+        "urp": cert.urp,
+        "coherence": cert.coherence,
+        "per_r": [
+            {
+                "r": e.r,
+                "rho_min": e.rho_min,
+                "worst_support": list(e.worst_support),
+                "gamma": e.gamma,
+                "ric_support": list(e.ric_support),
+            }
+            for e in cert.per_r
+        ],
+        "guarantees": [
+            {
+                "r": f.r,
+                "rho_2r_min": f.rho_2r_min,
+                "p0_unique": f.p0_unique,
+                "recovery_guaranteed": f.recovery_guaranteed,
+            }
+            for f in cert.flags
+        ],
+    }
+
+
+def _bits(measure, *args):
+    """A measure's outcome in bits: the value's type and hex form and the
+    support with its element types, or the exception's type and message."""
+    try:
+        value, attained = measure(*args)
+    except (InputError, SizeGuardError) as exc:
+        return type(exc), str(exc)
+    return type(value), value.hex(), attained, [type(i) for i in attained]
+
+
+def _certificate_text(h, r_max, guard, to_json_dict):
+    try:
+        return json.dumps(to_json_dict(certify(h, r_max, guard)), indent=2)
+    except (InputError, SizeGuardError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(h=_sensing_matrices(), data=st.data(),
+       guard=st.one_of(st.integers(1, 40), st.just(MIN_SSQ_GUARD)),
+       n_samples=st.integers(0, 25), seed=st.integers(0, 2**16))
+def test_measures_byte_identical_to_reference(h, data, guard, n_samples, seed):
+    r = data.draw(st.integers(0, h.shape[1] + 1), label="r")
+    assert _bits(min_ssq, h, r, guard) == _bits(_reference_min_ssq, h, r, guard)
+    assert _bits(ric, h, r, guard) == _bits(_reference_ric, h, r, guard)
+    assert _bits(min_ssq_sampled, h, r, n_samples, seed) \
+        == _bits(_reference_min_ssq_sampled, h, r, n_samples, seed)
+    assert _bits(ric_sampled, h, r, n_samples, seed) \
+        == _bits(_reference_ric_sampled, h, r, n_samples, seed)
+    for r_max in range(1, 5):
+        got = _certificate_text(h, r_max, guard, MatrixCertificate.to_json_dict)
+        with mock.patch.object(matrix_analysis, "min_ssq", _reference_min_ssq), \
+                mock.patch.object(matrix_analysis, "ric", _reference_ric):
+            expected = _certificate_text(h, r_max, guard, _reference_to_json_dict)
+        assert got == expected
+
+
+@pytest.mark.parametrize("level", [1.5, np.float64(2.0)], ids=["float", "numpy-float"])
+@pytest.mark.parametrize("measure", [min_ssq, ric, min_ssq_sampled, ric_sampled, certify],
+                         ids=["min_ssq", "ric", "min_ssq_sampled", "ric_sampled", "certify"])
+def test_non_integer_level_rejected(measure, level):
+    H = np.random.default_rng(24).standard_normal((4, 7))
+    with pytest.raises(InputError, match="must be an integer"):
+        measure(H, level)
+
+
+def test_numpy_integer_level_accepted():
+    H = np.random.default_rng(25).standard_normal((4, 7))
+    for measure in (min_ssq, ric, min_ssq_sampled, ric_sampled):
+        assert measure(H, np.int64(2)) == measure(H, 2)
+    assert certify(H, np.int64(2)) == certify(H, 2)
 
 
 # --------------------------------------------------------------- fixed points

@@ -80,6 +80,47 @@ def test_uss_infinite_sentinel_ranking():
     assert finite.sort_key > low.sort_key
 
 
+def test_uss_nan_variance_rejected():
+    rng = np.random.default_rng(28)
+    op, y, _ = _planted(rng, 8, 12, 2)
+    with pytest.raises(InputError, match="sigma2_est must be nonnegative"):
+        UssScorer(op, y).evaluate(2, math.nan)
+
+
+def _reference_sort_key(evaluation):
+    """The earlier three-category key: -inf, then finite values, then +inf
+    ordered by growth rate."""
+    if math.isinf(evaluation.uss_value):
+        if evaluation.uss_value > 0:
+            return (2.0, float(evaluation.growth_rate))
+        return (0.0, 0.0)
+    return (1.0, evaluation.uss_value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 12), extra=st.integers(0, 12),
+       fractions=st.lists(st.sampled_from([0.0, 0.0, 1e-13, 0.3, 0.3, 0.7, 1.0, 2.0]),
+                          min_size=1, max_size=14))
+def test_sort_key_orders_as_reference(n, extra, fractions):
+    """The (value, growth) key orders every pair of scored levels as the
+    earlier key did, and the search's argmax picks the same level."""
+    op = DenseOperator(np.random.default_rng(n + 13 * extra).standard_normal((n, n + extra)))
+    scorer = UssScorer(op, np.ones(n))
+    scored = [scorer.evaluate(r, f * scorer.baseline)
+              for r, f in enumerate(fractions[: n + extra + 1])]
+
+    def sign(a, b):
+        return (a > b) - (a < b)
+
+    for a in scored:
+        for b in scored:
+            assert sign(a.sort_key, b.sort_key) \
+                == sign((_reference_sort_key(a), -a.r), (_reference_sort_key(b), -b.r))
+    new = max(scored, key=lambda e: (e.sort_key, -e.r))
+    old = max(scored, key=lambda e: (_reference_sort_key(e), -e.r))
+    assert new.r == old.r
+
+
 def test_uss_evaluation_matches_recomputation():
     rng = np.random.default_rng(3)
     op, y, _ = _planted(rng, 9, 15, 2, noise=0.2)
@@ -127,6 +168,12 @@ def test_bruteforce_accepts_raw_matrix():
     from_matrix = exact_ml_bruteforce(op.matrix, y, 2)
     assert np.array_equal(from_op.s, from_matrix.s)
     assert from_op.sigma2 == from_matrix.sigma2
+
+
+@pytest.mark.parametrize("r", [1.5, np.float64(1.0)], ids=["float", "numpy-float"])
+def test_bruteforce_non_integer_level_rejected(toy_operator, r):
+    with pytest.raises(InputError, match="sparsity level r must be an integer"):
+        exact_ml_bruteforce(toy_operator, np.array([1.0, 2.0]), r)
 
 
 def test_bruteforce_guard():
@@ -194,6 +241,16 @@ def test_golden_section_validation():
         golden_section_r_search(lambda r: r, 10, 0)
     assert golden_section_r_search(lambda r: r, 10, 10) == \
         golden_section_r_search(lambda r: r, 10, 9)
+
+
+@pytest.mark.parametrize("r_max, resolution, name", [
+    (2.5, 1, "r_max"), (np.float64(10.0), 1, "r_max"),
+    (10, 1.5, "resolution"), (10, np.float64(2.0), "resolution"),
+], ids=["r_max-float", "r_max-numpy-float", "resolution-float", "resolution-numpy-float"])
+def test_golden_section_non_integer_bounds_rejected(r_max, resolution, name):
+    with pytest.raises(InputError, match=f"{name} must be an integer"):
+        golden_section_r_search(lambda r: -abs(r - 3), r_max, resolution)
+    assert golden_section_r_search(lambda r: -abs(r - 3), np.int64(10), np.int64(1)) == 3
 
 
 def _reference_golden_section_r_search(evaluator, r_max, resolution=1):

@@ -444,6 +444,49 @@ def test_stopping_rule_validation():
     assert rule.tol == 1e-14 and rule.max_iter == 50_000
 
 
+@pytest.mark.parametrize("r", [2.5, np.float64(2.0)], ids=["float", "numpy-float"])
+def test_hard_threshold_non_integer_level_rejected(r):
+    with pytest.raises(InputError, match="must be an integer"):
+        hard_threshold([1.0, -3.0, 2.0], r)
+
+
+@pytest.mark.parametrize("r", [2.5, np.float64(2.0)], ids=["float", "numpy-float"])
+@pytest.mark.parametrize("solver", [ecme_run, iht_run, dore_run])
+def test_solver_non_integer_level_rejected(bench_dct_operator, solver, r):
+    y = np.random.default_rng(26).standard_normal(21)
+    with pytest.raises(InputError, match="sparsity level r must be an integer"):
+        solver(bench_dct_operator, y, r)
+
+
+def test_numpy_integer_level_accepted(bench_dct_operator):
+    x = np.array([1.0, -3.0, 2.0])
+    assert np.array_equal(hard_threshold(x, np.int64(2)), hard_threshold(x, 2))
+    y = np.random.default_rng(27).standard_normal(21)
+    for solver in (ecme_run, dore_run):
+        a = solver(bench_dct_operator, y, np.int64(3), stop=StoppingRule(max_iter=50))
+        b = solver(bench_dct_operator, y, 3, stop=StoppingRule(max_iter=50))
+        assert a.estimate.s.tobytes() == b.estimate.s.tobytes()
+        assert a.trace == b.trace
+
+
+@pytest.mark.parametrize("max_iter", [2.5, np.float64(3.0)], ids=["float", "numpy-float"])
+def test_stopping_rule_non_integer_max_iter_rejected(max_iter):
+    with pytest.raises(InputError, match="max_iter must be an integer"):
+        StoppingRule(max_iter=max_iter)
+    assert StoppingRule(max_iter=np.int64(3)).max_iter == 3
+
+
+@pytest.mark.parametrize("tol", [np.inf, np.nan, -np.inf], ids=["inf", "nan", "-inf"])
+def test_stopping_rule_non_finite_tol_rejected(tol):
+    with pytest.raises(InputError, match="tol must be positive and finite"):
+        StoppingRule(tol=tol)
+
+
+def test_param_estimate_nan_variance_rejected():
+    with pytest.raises(InputError, match="sigma2 must be nonnegative"):
+        ParamEstimate(np.zeros(2), np.nan, 1)
+
+
 def test_result_json_fields(toy_operator):
     res = ecme_run(toy_operator, np.array([1.0, 1.0]), 1)
     payload = res.to_json_dict()
