@@ -22,7 +22,7 @@ from .dataio import (
     save_text,
     save_vector_csv,
 )
-from .errors import InputError, SizeGuardError
+from .errors import InputError, SizeGuardError, _count
 from .experiments import (
     CSV_HEADER,
     KNOWN_METHODS,
@@ -118,16 +118,12 @@ def _cmd_solver(args) -> int:
 
 def _cmd_analyze(args) -> int:
     matrix = load_matrix_csv(args.matrix)
-    m = matrix.shape[1]
-    if not 1 <= args.r_max <= m:
-        raise InputError(f"r_max={args.r_max} outside [1, {m}]")
+    _count(args.r_max, "r_max", 1, matrix.shape[1])
     if args.sampled and args.guard is not None:
         raise InputError("guard applies to exact mode only, not to --sampled")
     if not args.sampled and args.samples is not None:
         raise InputError("samples applies to --sampled mode only, not to exact mode")
     guard = MIN_SSQ_GUARD if args.guard is None else args.guard
-    if guard < 1:
-        raise InputError(f"guard must be at least 1, got {guard}")
     if args.sampled:
         samples = SAMPLED_SUPPORTS if args.samples is None else args.samples
         per_r = []

@@ -3,8 +3,9 @@
 Two failure modes are distinguished because the command-line tool maps
 them to different exit codes: bad user input (exit 2) versus a
 combinatorial computation whose size guard was exceeded (exit 3).
-``_require_integer`` is the one check that a count (a sparsity level, an
-iteration cap, a search bound) is an integer.
+``_count`` is the one rule for every integer the library takes (a
+sparsity level, a dimension, an iteration cap, a guard, a sample count, a
+seed, an image side, a line count): a Python or numpy integer in range.
 """
 
 import numpy as np
@@ -18,7 +19,13 @@ class SizeGuardError(RuntimeError):
     """An exact combinatorial computation would exceed its enumeration guard."""
 
 
-def _require_integer(value, name: str) -> None:
-    """Raise :class:`InputError` unless ``value`` is a Python or numpy integer."""
+def _count(value, name: str, low: int = 0, high: int | None = None) -> int:
+    """``value`` as an ``int`` if it is a Python or numpy integer in [low, high]
+    (no upper bound when ``high`` is None); otherwise raise :class:`InputError`."""
     if not isinstance(value, (int, np.integer)):
         raise InputError(f"{name} must be an integer, got {value!r}")
+    if high is not None and not low <= value <= high:
+        raise InputError(f"{name}={value} outside [{low}, {high}]")
+    if value < low:
+        raise InputError(f"{name} must be at least {low}, got {value}")
+    return int(value)

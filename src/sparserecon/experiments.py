@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .dore import dore_run
-from .errors import InputError
+from .errors import InputError, _count
 from .model_selection import adore_run
 from .operators import (
     ComposedOperator,
@@ -76,9 +76,7 @@ def psnr(reference, estimate) -> float:
 
 def _phantom_side(side: int) -> int:
     """The phantom rule: ``side`` must be a power of two of at least 32."""
-    side = int(side)
-    if side < 32:
-        raise InputError(f"phantom side must be at least 32, got {side}")
+    side = _count(side, "phantom side", 32)
     if side & (side - 1):
         raise InputError(f"phantom side must be a power of two, got {side}")
     return side
@@ -118,11 +116,8 @@ def radial_mask(side: int, n_lines: int) -> np.ndarray:
     always included) and is symmetric under the conjugation map
     (k, l) -> (-k mod side, -l mod side).
     """
-    side = int(side)
-    if side < 2:
-        raise InputError("mask side must be at least 2")
-    if n_lines < 1:
-        raise InputError("need at least one radial line")
+    side = _count(side, "mask side", 2)
+    n_lines = _count(n_lines, "n_lines", 1)
     center = side // 2
     shifted = np.zeros((side, side), dtype=bool)
     offsets = np.arange(-(side // 2 - 1), side // 2)
@@ -140,13 +135,12 @@ def radial_mask(side: int, n_lines: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    """A reconstruction problem: operator, measurements, optional ground truth."""
+    """A reconstruction problem: operator, measurements and ground truth."""
 
     operator: SensingOperator
     y: np.ndarray
-    truth: np.ndarray | None
-    truth_support_size: int | None
-    seed: int
+    truth: np.ndarray
+    truth_support_size: int
 
 
 def random_instance(m: int, n_rows: int, r_true: int, noise_sigma: float,
@@ -158,14 +152,13 @@ def random_instance(m: int, n_rows: int, r_true: int, noise_sigma: float,
     with noise_sigma finite and nonnegative; at 0 no noise is drawn.  Fully
     determined by the seed.
     """
-    if not 1 <= n_rows <= m:
-        raise InputError(f"need 1 <= N <= m, got N={n_rows}, m={m}")
-    if not 0 <= r_true <= m:
-        raise InputError(f"r_true={r_true} outside [0, {m}]")
+    m = _count(m, "m", 1)
+    n_rows = _count(n_rows, "N", 1, m)
+    r_true = _count(r_true, "r_true", 0, m)
     if not 0 <= noise_sigma < math.inf:
         raise InputError("noise_sigma must be finite and nonnegative, "
                          f"got {noise_sigma}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_count(seed, "seed"))
     matrix = rng.standard_normal((n_rows, m))
     truth = np.zeros(m)
     support = rng.choice(m, size=r_true, replace=False)
@@ -176,7 +169,7 @@ def random_instance(m: int, n_rows: int, r_true: int, noise_sigma: float,
         y = y + noise_sigma * rng.standard_normal(n_rows)
     return ProblemInstance(
         operator=op, y=y, truth=truth,
-        truth_support_size=int(np.count_nonzero(truth)), seed=seed,
+        truth_support_size=int(np.count_nonzero(truth)),
     )
 
 
@@ -188,14 +181,11 @@ def phantom_problem(side: int, n_lines: int) -> ProblemInstance:
     truth = basis.analyze(phantom(side).ravel())
     sampler = PartialDft2Operator(radial_mask(side, n_lines))
     op = ComposedOperator(sampler, basis)
-    if not op.rows_orthonormal:
-        raise InputError("phantom pipeline must have orthonormal rows")
     return ProblemInstance(
         operator=op,
         y=op.apply(truth),
         truth=truth,
         truth_support_size=int(np.count_nonzero(truth)),
-        seed=0,
     )
 
 
@@ -244,17 +234,17 @@ class BenchConfig:
 
     def __post_init__(self):
         _phantom_side(self.side)
-        if not self.lines or min(self.lines) < 1:
-            raise InputError(f"lines must be counts of at least 1, got {list(self.lines)}")
+        if not self.lines:
+            raise InputError("lines must be counts of at least 1, got []")
+        for count in self.lines:
+            _count(count, "lines entry", 1)
         if not self.methods:
             raise InputError("methods must name at least one method")
         unknown = [mth for mth in self.methods if mth not in KNOWN_METHODS]
         if unknown:
             raise InputError(f"unknown methods in config: {unknown}")
         StoppingRule(tol=self.tol, max_iter=self.max_iter)
-        if self.adore_resolution < 1:
-            raise InputError("adore_resolution must be at least 1, "
-                             f"got {self.adore_resolution}")
+        _count(self.adore_resolution, "adore_resolution", 1)
 
 
 @dataclass(frozen=True)

@@ -47,8 +47,8 @@ from itertools import chain, combinations, islice
 import numpy as np
 import scipy.linalg
 
-from .errors import InputError, SizeGuardError, _require_integer
-from .operators import DenseOperator, SensingOperator, _finite_matrix
+from .errors import InputError, SizeGuardError, _count
+from .operators import DenseOperator, SensingOperator, _finite_matrix, _finite_vector
 from .recon import _as_measurements
 
 MIN_SSQ_GUARD = 10_000_000
@@ -68,7 +68,7 @@ def _as_matrix(h) -> np.ndarray:
 
 def _exact_supports(m: int, r: int, guard: int):
     """Every size-r support in lexicographic order, behind the size guard."""
-    if math.comb(m, r) > guard:
+    if math.comb(m, r) > _count(guard, "guard", 1):
         raise SizeGuardError(
             f"enumerating C({m},{r})={math.comb(m, r)} supports exceeds the "
             f"guard of {guard}; use the sampled (non-exact) mode instead"
@@ -79,11 +79,7 @@ def _exact_supports(m: int, r: int, guard: int):
 def ssq(s, h) -> float:
     """Sparse subspace quotient of a nonzero vector against a proper matrix."""
     h = _as_matrix(h)
-    s = np.asarray(s, dtype=float)
-    if s.shape != (h.shape[1],):
-        raise InputError(f"s must have length {h.shape[1]}, got shape {s.shape}")
-    if not np.isfinite(s).all():
-        raise InputError("s must have finite entries")
+    s = _finite_vector(s, h.shape[1], "s")
     energy = float(s @ s)
     if energy == 0.0:
         raise InputError("ssq is undefined for the zero vector")
@@ -103,9 +99,8 @@ def _support_chunks(supports, r: int):
 
 def _sampled_supports(m: int, r: int, n_samples: int, seed: int):
     """Sorted random size-r supports, drawn one ``rng.choice`` at a time."""
-    if n_samples < 1:
-        raise InputError(f"n_samples must be at least 1, got {n_samples}")
-    rng = np.random.default_rng(seed)
+    n_samples = _count(n_samples, "n_samples", 1)
+    rng = np.random.default_rng(_count(seed, "seed"))
     return (np.sort(rng.choice(m, size=r, replace=False)) for _ in range(n_samples))
 
 
@@ -141,9 +136,7 @@ def _best_support(form: np.ndarray, supports, r: int, score,
 def _checked_level(h, r: int, name: str = "sparsity level r") -> np.ndarray:
     """h as a checked dense matrix, with ``r`` an integer in [1, m]."""
     h = _as_matrix(h)
-    _require_integer(r, name)
-    if not 1 <= r <= h.shape[1]:
-        raise InputError(f"{name}={r} outside [1, {h.shape[1]}]")
+    _count(r, name, 1, h.shape[1])
     return h
 
 
@@ -199,7 +192,7 @@ def min_ssq_sampled(h, r: int, n_samples: int = SAMPLED_SUPPORTS, seed: int = 0
     support).  Never feeds certificates.
     """
     h = _checked_level(h, r)
-    supports = _sampled_supports(h.shape[1], r, n_samples, seed)  # checks n_samples
+    supports = _sampled_supports(h.shape[1], r, n_samples, seed)  # checks n_samples and seed
     return _min_ssq(h, r, lambda: supports)
 
 
@@ -227,7 +220,7 @@ def spark(h, guard: int = MIN_SSQ_GUARD) -> int:
     h = _as_matrix(h)
     n, m = h.shape
     total = sum(math.comb(m, k) for k in range(1, n + 1))
-    if total > guard:
+    if total > _count(guard, "guard", 1):
         raise SizeGuardError(
             f"spark search would enumerate {total} column subsets, above the "
             f"guard of {guard}"
@@ -383,12 +376,12 @@ def verify_fixed_point(op: SensingOperator, y, s_star, r: int,
 
     Tolerance is relative to the gradient magnitude at s_star and at the
     zero vector, whichever is larger, which keeps the check meaningful both
-    for exact fits (whole gradient ~ 0) and noisy ones.
+    for exact fits (whole gradient ~ 0) and noisy ones.  s_star must be a
+    finite length-m vector and r an integer in [0, m].
     """
     y = _as_measurements(op, y)
-    s_star = np.asarray(s_star, dtype=float)
-    if not np.isfinite(s_star).all():
-        raise InputError("s_star must have finite entries")
+    s_star = _finite_vector(s_star, op.n_cols, "s_star")
+    r = _count(r, "sparsity level r", 0, op.n_cols)
     nonzeros = np.flatnonzero(s_star)
     if nonzeros.size > r:
         raise InputError(f"point has {nonzeros.size} nonzeros, above level r={r}")

@@ -30,7 +30,7 @@ from itertools import combinations
 import numpy as np
 
 from .dore import dore_run
-from .errors import InputError, SizeGuardError, _require_integer
+from .errors import InputError, SizeGuardError, _count
 from .matrix_analysis import _as_matrix
 from .operators import DenseOperator, SensingOperator
 from .recon import (
@@ -79,8 +79,10 @@ class UssScorer:
         self.zero_cutoff = ZERO_VARIANCE_REL * baseline
 
     def evaluate(self, r: int, sigma2_est: float) -> UssEvaluation:
+        """Score level r, an integer in [0, m], at variance ``sigma2_est``."""
         if not sigma2_est >= 0:
             raise InputError(f"sigma2_est must be nonnegative, got {sigma2_est}")
+        r = _count(r, "sparsity level r", 0, self.n_cols)
         growth = self.n_rows - r - 2
         if sigma2_est <= self.zero_cutoff:
             value = (-0.5 * r * math.log(self.n_rows / self.n_cols) if growth == 0
@@ -105,10 +107,8 @@ def exact_ml_bruteforce(op, y, r: int, guard: int = BRUTE_FORCE_GUARD) -> ParamE
     dense = op if isinstance(op, DenseOperator) else DenseOperator(matrix)
     n, m = matrix.shape
     y = _as_measurements(dense, y)
-    _require_integer(r, "sparsity level r")
-    if not 0 <= r <= m:
-        raise InputError(f"sparsity level r={r} outside [0, {m}]")
-    if math.comb(m, r) > guard:
+    r = _count(r, "sparsity level r", 0, m)
+    if math.comb(m, r) > _count(guard, "guard", 1):
         raise SizeGuardError(
             f"C({m},{r})={math.comb(m, r)} supports exceed the brute-force "
             f"guard of {guard}"
@@ -154,13 +154,8 @@ def golden_section_r_search(evaluator, r_max: int, resolution: int = 1) -> int:
     r_max or more acts as max(r_max - 1, 1), so the bracket is probed at
     least once, and at r_max = 1 the sweep scores 0, then 1.
     """
-    _require_integer(r_max, "r_max")
-    if r_max < 1:
-        raise InputError("r_max must be at least 1")
-    _require_integer(resolution, "resolution")
-    if resolution < 1:
-        raise InputError(f"resolution must be at least 1, got {resolution}")
-    resolution = min(resolution, max(r_max - 1, 1))
+    r_max = _count(r_max, "r_max", 1)
+    resolution = min(_count(resolution, "resolution", 1), max(r_max - 1, 1))
     cache: dict[int, object] = {}
 
     def scored(r: int):

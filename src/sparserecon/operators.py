@@ -41,7 +41,7 @@ import numpy as np
 import scipy.fft
 from scipy.linalg.lapack import dpotrs
 
-from .errors import InputError
+from .errors import InputError, _count
 
 _ORTHO_TOL = 1e-10
 _SQRT2 = math.sqrt(2.0)
@@ -53,6 +53,14 @@ def _as_vector(v, length: int, name: str) -> np.ndarray:
         raise InputError(
             f"{name} must be a length-{length} vector, got shape {v.shape}"
         )
+    return v
+
+
+def _finite_vector(v, length: int, name: str) -> np.ndarray:
+    """``v`` as a length-``length`` float vector with finite entries."""
+    v = _as_vector(v, length, name)
+    if not np.isfinite(v).all():
+        raise InputError(f"{name} must have finite entries")
     return v
 
 
@@ -76,8 +84,7 @@ class SensingOperator(ABC):
     """
 
     def __init__(self, n_rows: int, n_cols: int, rows_orthonormal: bool, kind: str):
-        if n_rows < 1 or n_cols < 1:
-            raise InputError("operator dimensions must be positive")
+        n_rows, n_cols = _count(n_rows, "n_rows", 1), _count(n_cols, "n_cols", 1)
         if n_rows > n_cols:
             raise InputError(
                 f"not a proper sensing matrix: N={n_rows} exceeds m={n_cols}"
@@ -208,7 +215,7 @@ class IdentityOperator(SensingOperator):
 
 def dct_matrix(n: int) -> np.ndarray:
     """The n x n orthonormal type-II DCT matrix T, with T[k] the k-th basis row."""
-    return scipy.fft.dct(np.eye(n), type=2, norm="ortho", axis=0)
+    return scipy.fft.dct(np.eye(_count(n, "n", 1)), type=2, norm="ortho", axis=0)
 
 
 def partial_dct_matrix(n_cols: int, rows) -> np.ndarray:
@@ -218,9 +225,12 @@ def partial_dct_matrix(n_cols: int, rows) -> np.ndarray:
 
 
 def _check_row_indices(rows, n_cols: int) -> np.ndarray:
-    rows = np.asarray(rows, dtype=int)
+    n_cols = _count(n_cols, "n_cols", 1)
+    rows = np.asarray(rows)
     if rows.ndim != 1 or rows.size == 0:
         raise InputError("row index list must be a nonempty 1-D sequence")
+    if rows.dtype.kind not in "iu":
+        raise InputError(f"row indices must be integers, got dtype {rows.dtype}")
     if rows.min() < 0 or rows.max() >= n_cols:
         raise InputError("row indices out of range")
     if np.unique(rows).size != rows.size:
@@ -258,8 +268,8 @@ class PartialDctOperator(SensingOperator):
 # ----------------------------------------------------------------------
 
 def _check_square_pow2(side: int) -> int:
-    side = int(side)
-    if side < 1 or side & (side - 1):
+    side = _count(side, "image side", 1)
+    if side & (side - 1):
         raise InputError(f"image side must be a power of two, got {side}")
     return side
 
@@ -270,12 +280,7 @@ def _check_levels(side: int, levels) -> int:
         raise InputError("image side must be at least 2 to transform")
     if levels is None:
         return max_levels
-    levels = int(levels)
-    if not 1 <= levels <= max_levels:
-        raise InputError(
-            f"levels must be between 1 and log2(side)={max_levels}, got {levels}"
-        )
-    return levels
+    return _count(levels, "levels", 1, max_levels)
 
 
 def _haar_step(block: np.ndarray, inverse: bool) -> None:

@@ -40,8 +40,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputError, _require_integer
-from .operators import SensingOperator
+from .errors import InputError, _count
+from .operators import SensingOperator, _finite_vector
 
 DEFAULT_TOL = 1e-14
 DEFAULT_MAX_ITER = 50_000
@@ -59,9 +59,7 @@ def hard_threshold(x, r: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise InputError("hard_threshold expects a 1-D vector")
-    _require_integer(r, "sparsity level r")
-    if not 0 <= r <= x.size:
-        raise InputError(f"sparsity level r={r} outside [0, {x.size}]")
+    r = _count(r, "sparsity level r", 0, x.size)
     if r == 0:
         return np.zeros_like(x)
     if r == x.size:
@@ -99,8 +97,8 @@ def support(x) -> np.ndarray:
 class ParamEstimate:
     """Signal/variance parameter pair tagged with its sparsity level.
 
-    Invariants: the signal has at most r nonzeros and sigma2 >= 0 (NaN is
-    rejected).
+    Invariants: r is a nonnegative integer, the signal has at most r
+    nonzeros and sigma2 >= 0 (NaN is rejected).
     """
 
     s: np.ndarray
@@ -112,8 +110,7 @@ class ParamEstimate:
         object.__setattr__(self, "s", s)
         if not self.sigma2 >= 0:
             raise InputError(f"sigma2 must be nonnegative, got {self.sigma2}")
-        if self.r < 0:
-            raise InputError(f"sparsity level must be nonnegative, got {self.r}")
+        object.__setattr__(self, "r", _count(self.r, "sparsity level r"))
         if np.count_nonzero(s) > self.r:
             raise InputError(
                 f"signal has {np.count_nonzero(s)} nonzeros, above sparsity level {self.r}"
@@ -133,9 +130,7 @@ class StoppingRule:
     def __post_init__(self):
         if not 0 < self.tol < math.inf:
             raise InputError(f"tol must be positive and finite, got {self.tol}")
-        _require_integer(self.max_iter, "max_iter")
-        if self.max_iter < 1:
-            raise InputError("max_iter must be at least 1")
+        _count(self.max_iter, "max_iter", 1)
 
 
 @dataclass
@@ -220,22 +215,13 @@ def _plain_step(op: SensingOperator, y, g_y, curr: Iterate, r: int) -> Iterate:
 
 def _as_measurements(op: SensingOperator, y) -> np.ndarray:
     """y as a float vector of the operator's length with finite entries."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (op.n_rows,):
-        raise InputError(f"y must have length {op.n_rows}, got shape {y.shape}")
-    if not np.isfinite(y).all():
-        raise InputError("y must have finite entries")
-    return y
+    return _finite_vector(y, op.n_rows, "y")
 
 
 def _initial_signal(op: SensingOperator, r: int, s0) -> np.ndarray:
     if s0 is None:
         return np.zeros(op.n_cols)
-    s0 = np.asarray(s0, dtype=float)
-    if s0.shape != (op.n_cols,):
-        raise InputError(f"s0 must have length {op.n_cols}, got shape {s0.shape}")
-    if not np.isfinite(s0).all():
-        raise InputError("s0 must have finite entries")
+    s0 = _finite_vector(s0, op.n_cols, "s0")
     if np.count_nonzero(s0) > r:
         return hard_threshold(s0, r)
     return s0.copy()
@@ -253,9 +239,7 @@ def _drive(op: SensingOperator, y, r: int, s0, stop: StoppingRule | None,
     """
     stop = stop or StoppingRule()
     y = _as_measurements(op, y)
-    _require_integer(r, "sparsity level r")
-    if not 0 <= r <= op.n_cols:
-        raise InputError(f"sparsity level r={r} outside [0, {op.n_cols}]")
+    r = _count(r, "sparsity level r", 0, op.n_cols)
     start = time.perf_counter()
     s = _initial_signal(op, r, s0)
     g_y = op.gram_solve(y)

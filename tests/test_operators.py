@@ -240,6 +240,20 @@ def test_partial_dct_validation():
         PartialDctOperator(8, [])
 
 
+@pytest.mark.parametrize("rows", [[1.9, 2.2], np.array([1.0, 2.0]), [True, False]],
+                         ids=["float-list", "float-array", "bool-list"])
+def test_row_indices_must_be_integers(rows):
+    """Indices are never truncated or read from booleans: rows [1.9, 2.2]
+    would select rows 1 and 2, and [True, False] rows 1 and 0."""
+    for build in (partial_dct_matrix, PartialDctOperator):
+        with pytest.raises(InputError, match="row indices must be integers"):
+            build(8, rows)
+    expected = partial_dct_matrix(8, [1, 2])
+    for good in ((1, 2), np.array([1, 2], dtype=np.int32), np.array([1, 2], dtype=np.uint8)):
+        assert np.array_equal(partial_dct_matrix(8, good), expected)
+        assert PartialDctOperator(8, good).n_rows == 2
+
+
 def test_dct_matrix_is_orthogonal():
     T = dct_matrix(16)
     assert np.abs(T @ T.T - np.eye(16)).max() < 1e-12
