@@ -19,13 +19,10 @@ from .operators import (
     ComposedOperator,
     DenseOperator,
     HaarBasis,
-    IdentityOperator,
     PartialDctOperator,
     PartialDft2Operator,
     SensingOperator,
     dct_matrix,
-    haar_dwt_2d,
-    haar_idwt_2d,
     partial_dct_matrix,
     probe_rows_orthonormal,
 )
@@ -85,9 +82,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "InputError", "SizeGuardError", "ComposedOperator", "DenseOperator",
-    "HaarBasis", "IdentityOperator", "PartialDctOperator",
-    "PartialDft2Operator", "SensingOperator", "dct_matrix", "haar_dwt_2d",
-    "haar_idwt_2d", "partial_dct_matrix", "probe_rows_orthonormal",
+    "HaarBasis", "PartialDctOperator", "PartialDft2Operator",
+    "SensingOperator", "dct_matrix", "partial_dct_matrix",
+    "probe_rows_orthonormal",
     "ParamEstimate", "ReconstructionResult", "StoppingRule", "ecme_run",
     "ecme_step", "empirical_bayes_estimate", "hard_threshold", "iht_run",
     "minimum_norm_estimate", "sigma2_hat", "support", "weighted_error",

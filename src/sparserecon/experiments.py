@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .dore import dore_run
-from .errors import InputError, _count
+from .errors import InputError, _count, _pow2
 from .model_selection import adore_run
 from .operators import (
     ComposedOperator,
@@ -76,10 +76,7 @@ def psnr(reference, estimate) -> float:
 
 def _phantom_side(side: int) -> int:
     """The phantom rule: ``side`` must be a power of two of at least 32."""
-    side = _count(side, "phantom side", 32)
-    if side & (side - 1):
-        raise InputError(f"phantom side must be a power of two, got {side}")
-    return side
+    return _pow2(side, "phantom side", 32)
 
 
 def phantom(side: int) -> np.ndarray:
@@ -250,7 +247,12 @@ class BenchConfig:
 @dataclass(frozen=True)
 class MethodRun:
     """One method's estimate and bookkeeping, plus the library result
-    (``ReconstructionResult``, ``AdoreResult``, or None for ``mn``)."""
+    (``ReconstructionResult``, ``AdoreResult``, or None for ``mn``).
+
+    ``elapsed_seconds`` is the wall time of the whole library call, every
+    probe of an ADORE search included; ``iterations`` and ``converged``
+    are those of the final reconstruction.
+    """
 
     estimate: np.ndarray
     iterations: int
@@ -272,20 +274,19 @@ def run_method(method: str, op: SensingOperator, y, r: int | None = None,
     ``ecme``, ``iht`` and ``dore`` solve at sparsity level r; ``adore``
     selects r itself; ``mn`` is the minimum-norm baseline (r_used 0).
     """
-    if method in _SOLVERS:
-        res = _SOLVERS[method](op, y, r, stop=stop)
-        return MethodRun(res.estimate.s, res.iterations, res.converged,
-                         res.elapsed_seconds, r, res)
-    if method == "adore":
-        auto = adore_run(op, y, resolution=adore_resolution, stop=stop)
-        final = auto.final
-        return MethodRun(final.estimate.s, final.iterations, final.converged,
-                         final.elapsed_seconds, auto.r_selected, auto)
+    if method not in KNOWN_METHODS:
+        raise InputError(f"unknown method {method!r}")
+    start = time.perf_counter()
     if method == "mn":
-        start = time.perf_counter()
         estimate = minimum_norm_estimate(op, y)
         return MethodRun(estimate, 0, True, time.perf_counter() - start, 0, None)
-    raise InputError(f"unknown method {method!r}")
+    if method == "adore":
+        result = adore_run(op, y, resolution=adore_resolution, stop=stop)
+        final, r = result.final, result.r_selected
+    else:
+        result = final = _SOLVERS[method](op, y, r, stop=stop)
+    return MethodRun(final.estimate.s, final.iterations, final.converged,
+                     time.perf_counter() - start, r, result)
 
 
 def _config_value(default, text: str, where: str):

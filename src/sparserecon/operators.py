@@ -20,16 +20,16 @@ scan.
 Concrete kinds:
 
 * ``DenseOperator``       -- explicit N x m matrix, Cholesky gram factor
-* ``IdentityOperator``    -- square identity
+                             (none when its rows are orthonormal)
 * ``PartialDctOperator``  -- selected rows of the orthonormal type-II DCT
 * ``PartialDft2Operator`` -- selected 2-D DFT coefficients of an image,
                              embedded as a real row-orthonormal operator
 * ``ComposedOperator``    -- sampling operator composed with an
                              orthonormal synthesis basis (H = Phi Psi)
 
-The 2-D Haar transform used by the composed operator lives here too
-(``haar_dwt_2d`` / ``haar_idwt_2d``), in its orthonormal normalization so
-that the composed operator keeps exactly orthonormal rows.
+``HaarBasis`` is the one 2-D Haar transform, the synthesis basis of the
+composed operator: full depth, in its orthonormal normalization so that
+the composed operator keeps exactly orthonormal rows.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import numpy as np
 import scipy.fft
 from scipy.linalg.lapack import dpotrs
 
-from .errors import InputError, _count
+from .errors import InputError, _count, _pow2
 
 _ORTHO_TOL = 1e-10
 _SQRT2 = math.sqrt(2.0)
@@ -93,10 +93,6 @@ class SensingOperator(ABC):
         self.n_cols = n_cols
         self.rows_orthonormal = rows_orthonormal
         self.kind = kind
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.n_rows, self.n_cols)
 
     @abstractmethod
     def apply(self, v) -> np.ndarray:
@@ -200,19 +196,6 @@ class DenseOperator(SensingOperator):
         return x
 
 
-class IdentityOperator(SensingOperator):
-    """Square identity operator (N = m)."""
-
-    def __init__(self, n: int):
-        super().__init__(n, n, True, "identity")
-
-    def apply(self, v) -> np.ndarray:
-        return _as_vector(v, self.n_cols, "v")
-
-    def apply_adjoint(self, w) -> np.ndarray:
-        return _as_vector(w, self.n_rows, "w")
-
-
 def dct_matrix(n: int) -> np.ndarray:
     """The n x n orthonormal type-II DCT matrix T, with T[k] the k-th basis row."""
     return scipy.fft.dct(np.eye(_count(n, "n", 1)), type=2, norm="ortho", axis=0)
@@ -267,22 +250,6 @@ class PartialDctOperator(SensingOperator):
 # 2-D Haar wavelet transform (orthonormal / "Daubechies-2" filters)
 # ----------------------------------------------------------------------
 
-def _check_square_pow2(side: int) -> int:
-    side = _count(side, "image side", 1)
-    if side & (side - 1):
-        raise InputError(f"image side must be a power of two, got {side}")
-    return side
-
-
-def _check_levels(side: int, levels) -> int:
-    max_levels = side.bit_length() - 1
-    if max_levels < 1:
-        raise InputError("image side must be at least 2 to transform")
-    if levels is None:
-        return max_levels
-    return _count(levels, "levels", 1, max_levels)
-
-
 def _haar_step(block: np.ndarray, inverse: bool) -> None:
     """One Haar stage along the columns of ``block``, in place.
 
@@ -298,56 +265,43 @@ def _haar_step(block: np.ndarray, inverse: bool) -> None:
     sums[...], diffs[...] = (a + b) / _SQRT2, (a - b) / _SQRT2
 
 
-def haar_dwt_2d(image, levels=None) -> np.ndarray:
-    """Orthonormal multilevel 2-D Haar analysis of a square image.
-
-    The image side must be a power of two.  Returns the coefficient array
-    flattened to a vector (nested quadrant layout, approximation block in
-    the top-left corner).  With 1/sqrt(2) filters the transform is exactly
-    orthogonal: energy is preserved and ``haar_idwt_2d`` inverts it.
-    """
-    out = np.array(image, dtype=float)
-    if out.ndim != 2 or out.shape[0] != out.shape[1]:
-        raise InputError(f"expected a square 2-D image, got shape {out.shape}")
-    side = _check_square_pow2(out.shape[0])
-    for j in range(_check_levels(side, levels)):
-        block = out[:side >> j, :side >> j]
-        _haar_step(block, inverse=False)
-        _haar_step(block.T, inverse=False)
-    return out.ravel()
-
-
-def haar_idwt_2d(coeffs, levels=None) -> np.ndarray:
-    """Inverse of :func:`haar_dwt_2d`; returns the square image."""
-    out = np.array(coeffs, dtype=float).ravel()
-    side = math.isqrt(out.size)
-    if side * side != out.size:
-        raise InputError("coefficient vector length is not a perfect square")
-    side = _check_square_pow2(side)
-    out = out.reshape(side, side)
-    for j in reversed(range(_check_levels(side, levels))):
-        block = out[:side >> j, :side >> j]
-        _haar_step(block.T, inverse=True)
-        _haar_step(block, inverse=True)
-    return out
-
-
 class HaarBasis:
-    """Orthonormal full-depth 2-D Haar synthesis/analysis pair on flattened vectors."""
+    """Orthonormal full-depth 2-D Haar transform of a square image, on
+    flattened vectors.
+
+    ``analyze`` maps an image to its coefficients in the nested quadrant
+    layout (approximation block in the top-left corner); ``synthesize``
+    inverts it.  With 1/sqrt(2) filters the pair is exactly orthogonal, so
+    energy is preserved.  The side, a power of two of at least 2, is
+    checked once here; each call checks that its input has ``size`` entries.
+    """
 
     def __init__(self, side: int):
-        self.side = _check_square_pow2(side)
-        self.levels = _check_levels(self.side, None)
+        self.side = _pow2(side, "image side", 2)
+        self.levels = self.side.bit_length() - 1
         self.size = self.side * self.side
+
+    def _square(self, v, name: str) -> np.ndarray:
+        """A fresh side x side float copy of the length-``size`` vector ``v``."""
+        return _as_vector(v, self.size, name).reshape(self.side, self.side).copy()
 
     def synthesize(self, coeffs) -> np.ndarray:
         """Coefficients -> image, flattened."""
-        return haar_idwt_2d(coeffs, self.levels).ravel()
+        out = self._square(coeffs, "coeffs")
+        for j in reversed(range(self.levels)):
+            block = out[:self.side >> j, :self.side >> j]
+            _haar_step(block.T, inverse=True)
+            _haar_step(block, inverse=True)
+        return out.ravel()
 
     def analyze(self, image_vec) -> np.ndarray:
         """Image (flattened) -> coefficients."""
-        image_vec = np.asarray(image_vec, dtype=float)
-        return haar_dwt_2d(image_vec.reshape(self.side, self.side), self.levels)
+        out = self._square(image_vec, "image")
+        for j in range(self.levels):
+            block = out[:self.side >> j, :self.side >> j]
+            _haar_step(block, inverse=False)
+            _haar_step(block.T, inverse=False)
+        return out.ravel()
 
 
 # ----------------------------------------------------------------------

@@ -62,8 +62,6 @@ def hard_threshold(x, r: int) -> np.ndarray:
     r = _count(r, "sparsity level r", 0, x.size)
     if r == 0:
         return np.zeros_like(x)
-    if r == x.size:
-        return x.copy()
     neg = np.abs(x)
     np.negative(neg, out=neg)
     # t = the r-th smallest of -|x|.  A partition, like a sort, places NaN

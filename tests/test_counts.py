@@ -1,5 +1,5 @@
 """One count rule: every integer the library takes is a Python or numpy
-integer in range, or the call raises InputError.
+integer in range (never a bool), or the call raises InputError.
 
 ``COUNTS`` lists each (entry, count parameter) pair of the public API with
 a call that sets that parameter, a valid value and a value below its range.
@@ -18,7 +18,6 @@ from sparserecon import (
     BenchConfig,
     DenseOperator,
     HaarBasis,
-    IdentityOperator,
     InputError,
     ParamEstimate,
     PartialDctOperator,
@@ -33,8 +32,6 @@ from sparserecon import (
     ecme_run,
     exact_ml_bruteforce,
     golden_section_r_search,
-    haar_dwt_2d,
-    haar_idwt_2d,
     hard_threshold,
     iht_run,
     min_ssq,
@@ -88,13 +85,10 @@ def _peak_at_two(r):
 COUNTS = {
     ("SensingOperator", "n_rows"): (lambda n: _Bare(n, 4, True, "bare"), 2, 0),
     ("SensingOperator", "n_cols"): (lambda n: _Bare(1, n, True, "bare"), 2, 0),
-    ("IdentityOperator", "n"): (IdentityOperator, 3, 0),
     ("dct_matrix", "n"): (dct_matrix, 4, 0),
     ("partial_dct_matrix", "n_cols"): (lambda n: partial_dct_matrix(n, [0, 1]), 4, 0),
     ("PartialDctOperator", "n_cols"): (lambda n: PartialDctOperator(n, [0, 1]), 4, 0),
     ("HaarBasis", "side"): (HaarBasis, 4, 0),
-    ("haar_dwt_2d", "levels"): (lambda k: haar_dwt_2d(np.ones((4, 4)), k), 2, 0),
-    ("haar_idwt_2d", "levels"): (lambda k: haar_idwt_2d(np.ones(16), k), 2, 0),
     ("hard_threshold", "r"): (lambda r: hard_threshold(np.arange(5.0), r), 2, -1),
     ("ParamEstimate", "r"): (lambda r: ParamEstimate(np.zeros(3), 0.0, r), 2, -1),
     ("StoppingRule", "max_iter"): (lambda k: StoppingRule(max_iter=k), 5, 0),
@@ -176,7 +170,8 @@ def test_table_names_real_parameters():
         assert parameter in inspect.signature(_resolve(entry)).parameters, (entry, parameter)
 
 
-@pytest.mark.parametrize("value", [2.5, np.float64(2.0)], ids=["float", "numpy-float"])
+@pytest.mark.parametrize("value", [2.5, np.float64(2.0), True],
+                         ids=["float", "numpy-float", "bool"])
 @pytest.mark.parametrize("key", COUNTS, ids=IDS)
 def test_non_integer_count_rejected(key, value):
     call = COUNTS[key][0]

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import time
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -13,12 +14,12 @@ from hypothesis import given, settings, strategies as st
 from sparserecon import (
     BenchConfig,
     ExperimentReport,
+    HaarBasis,
     InputError,
     PartialDft2Operator,
     StoppingRule,
     benchmark_sweep,
     dore_run,
-    haar_dwt_2d,
     iht_run,
     parse_bench_config,
     phantom,
@@ -32,7 +33,9 @@ from sparserecon.experiments import (
     KNOWN_METHODS,
     phantom_problem,
     report_csv_row,
+    run_method,
 )
+from sparserecon import model_selection
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -104,7 +107,7 @@ def test_phantom_intensity_range():
 def test_phantom_haar_support_count_at_full_scale():
     # published support size for the 256x256 rasterization is 3769 (~0.06 m);
     # exact-zero counting on our rasterization must land within 2%
-    coeffs = haar_dwt_2d(phantom(256))
+    coeffs = HaarBasis(256).analyze(phantom(256).ravel())
     count = int(np.count_nonzero(coeffs))
     assert abs(count - 3769) <= 0.02 * 3769
 
@@ -430,3 +433,22 @@ def test_benchmark_sweep_smoke_and_determinism():
     by_method = {rep.method: rep for rep in first}
     assert by_method["mn"].iterations == 0
     assert by_method["dore"].iterations <= by_method["ecme"].iterations
+
+
+def test_run_method_adore_time_covers_every_probe(monkeypatch):
+    """ADORE's reported time is the whole search, not its last solver run."""
+    durations = []
+    dore = model_selection.dore_run
+
+    def timed(*args, **kwargs):
+        start = time.perf_counter()
+        result = dore(*args, **kwargs)
+        durations.append(time.perf_counter() - start)
+        return result
+
+    monkeypatch.setattr(model_selection, "dore_run", timed)
+    problem = phantom_problem(32, 12)
+    run = run_method("adore", problem.operator, problem.y, adore_resolution=8)
+    assert len(durations) == run.result.dore_runs >= 2
+    assert run.elapsed_seconds >= sum(durations)
+    assert run.iterations == run.result.final.iterations

@@ -11,12 +11,9 @@ from sparserecon import (
     ComposedOperator,
     DenseOperator,
     HaarBasis,
-    IdentityOperator,
     InputError,
     PartialDctOperator,
     PartialDft2Operator,
-    haar_dwt_2d,
-    haar_idwt_2d,
     partial_dct_matrix,
     probe_rows_orthonormal,
 )
@@ -24,12 +21,13 @@ from sparserecon.operators import dct_matrix
 
 
 def test_identity_apply_adjoint():
-    op = IdentityOperator(3)
+    op = DenseOperator(np.eye(3))
     v = np.array([1.0, 2.0, 3.0])
     assert np.array_equal(op.apply(v), v)
     assert np.array_equal(op.apply_adjoint(np.array([4.0, 5.0, 6.0])),
                           [4.0, 5.0, 6.0])
-    assert op.rows_orthonormal
+    assert op.rows_orthonormal and op.gram_lower is None
+    assert op.gram_solve(v) is v
 
 
 def test_dense_apply_hand_values(toy_operator):
@@ -156,7 +154,7 @@ def test_adjoint_identity_all_kinds(toy_operator, bench_dct_operator):
     ops = [
         toy_operator,
         dense,
-        IdentityOperator(6),
+        DenseOperator(np.eye(6)),
         bench_dct_operator,
         PartialDft2Operator(mask),
         ComposedOperator(PartialDft2Operator(mask), HaarBasis(8)),
@@ -178,8 +176,8 @@ def _draw_operator(kind, data, rng):
         n_rows = data.draw(st.integers(1, 12), label="n_rows")
         n_cols = data.draw(st.integers(n_rows + 2, 26), label="n_cols")
         return DenseOperator(rng.standard_normal((n_rows, n_cols)))
-    if kind == "identity":
-        return IdentityOperator(data.draw(st.integers(1, 64), label="n"))
+    if kind == "identity":  # dense with orthonormal rows: no gram factor
+        return DenseOperator(np.eye(data.draw(st.integers(1, 64), label="n")))
     if kind == "dct":
         n_cols = data.draw(st.integers(1, 64), label="n_cols")
         rows = data.draw(st.lists(st.integers(0, n_cols - 1), min_size=1,
@@ -264,38 +262,46 @@ def test_dct_matrix_is_orthogonal():
 
 def test_haar_constant_image_single_coefficient():
     c = 2.5
-    coeffs = haar_dwt_2d(np.full((4, 4), c))
+    coeffs = HaarBasis(4).analyze(np.full(16, c))
     assert abs(coeffs[0] - 4 * c) < 1e-12
     assert np.abs(coeffs[1:]).max() == 0.0
 
 
 def test_haar_roundtrip():
     rng = np.random.default_rng(6)
-    image = rng.standard_normal((8, 8))
-    back = haar_idwt_2d(haar_dwt_2d(image))
-    assert np.abs(back - image).max() < 1e-10
-    # partial depth too
-    back2 = haar_idwt_2d(haar_dwt_2d(image, levels=2), levels=2)
-    assert np.abs(back2 - image).max() < 1e-10
+    image = rng.standard_normal(64)
+    basis = HaarBasis(8)
+    assert np.abs(basis.synthesize(basis.analyze(image)) - image).max() < 1e-10
 
 
 def test_haar_energy_preservation():
     rng = np.random.default_rng(8)
-    image = rng.standard_normal((16, 16))
-    coeffs = haar_dwt_2d(image)
+    image = rng.standard_normal(256)
+    coeffs = HaarBasis(16).analyze(image)
     assert abs(np.linalg.norm(coeffs) - np.linalg.norm(image)) \
         <= 1e-10 * np.linalg.norm(image)
 
 
 def test_haar_validation():
-    with pytest.raises(InputError):
-        haar_dwt_2d(np.zeros((6, 6)))  # not a power of two
-    with pytest.raises(InputError):
-        haar_dwt_2d(np.zeros((4, 8)))  # not square
-    with pytest.raises(InputError):
-        haar_dwt_2d(np.zeros((8, 8)), levels=4)  # too deep
-    with pytest.raises(InputError):
-        haar_idwt_2d(np.zeros(12))  # not a square length
+    with pytest.raises(InputError, match="image side must be at least 2, got 1"):
+        HaarBasis(1)
+    with pytest.raises(InputError, match="image side must be a power of two, got 6"):
+        HaarBasis(6)
+
+
+@pytest.mark.parametrize("shape", [(64,), (12,), (4, 4), ()],
+                         ids=["longer", "shorter", "square", "scalar"])
+def test_haar_synthesize_wrong_length_rejected(shape):
+    """A length-64 vector was read as an 8 x 8 image at depth 2."""
+    with pytest.raises(InputError, match="coeffs must be a length-16 vector"):
+        HaarBasis(4).synthesize(np.ones(shape))
+
+
+@pytest.mark.parametrize("shape", [(64,), (12,), (4, 4), ()],
+                         ids=["longer", "shorter", "square", "scalar"])
+def test_haar_analyze_wrong_length_rejected(shape):
+    with pytest.raises(InputError, match="image must be a length-16 vector"):
+        HaarBasis(4).analyze(np.ones(shape))
 
 
 # Reference transforms: one stage per level, built with hstack/vstack and
@@ -337,18 +343,17 @@ def _oracle_haar_idwt(coeffs, levels):
 
 
 @settings(max_examples=80, deadline=None)
-@given(log_side=st.integers(1, 7), depth=st.integers(0, 7), seed=st.integers(0, 2**32 - 1))
-def test_haar_matches_oracle_bit_for_bit(log_side, depth, seed):
+@given(log_side=st.integers(1, 7), seed=st.integers(0, 2**32 - 1))
+def test_haar_matches_oracle_bit_for_bit(log_side, seed):
     side = 1 << log_side
-    levels = min(depth, log_side)  # 0 stands for the default, full depth
-    full = levels or log_side
+    basis = HaarBasis(side)
     rng = np.random.default_rng(seed)
     image = rng.standard_normal((side, side))
     coeffs = rng.standard_normal(side * side)
-    assert np.array_equal(haar_dwt_2d(image, levels or None),
-                          _oracle_haar_dwt(image, full))
-    assert np.array_equal(haar_idwt_2d(coeffs, levels or None),
-                          _oracle_haar_idwt(coeffs, full))
+    assert np.array_equal(basis.analyze(image.ravel()),
+                          _oracle_haar_dwt(image, log_side))
+    assert np.array_equal(basis.synthesize(coeffs),
+                          _oracle_haar_idwt(coeffs, log_side).ravel())
 
 
 # --------------------------------------------------------------- partial DFT2
