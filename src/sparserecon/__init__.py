@@ -22,9 +22,7 @@ from .operators import (
     PartialDctOperator,
     PartialDft2Operator,
     SensingOperator,
-    dct_matrix,
     partial_dct_matrix,
-    probe_rows_orthonormal,
 )
 from .recon import (
     ParamEstimate,
@@ -40,7 +38,7 @@ from .recon import (
     support,
     weighted_error,
 )
-from .dore import dore_run, dore_step, dore_weight
+from .dore import dore_run, dore_weight
 from .model_selection import (
     AdoreResult,
     UssEvaluation,
@@ -83,12 +81,11 @@ __version__ = "0.1.0"
 __all__ = [
     "InputError", "SizeGuardError", "ComposedOperator", "DenseOperator",
     "HaarBasis", "PartialDctOperator", "PartialDft2Operator",
-    "SensingOperator", "dct_matrix", "partial_dct_matrix",
-    "probe_rows_orthonormal",
+    "SensingOperator", "partial_dct_matrix",
     "ParamEstimate", "ReconstructionResult", "StoppingRule", "ecme_run",
     "ecme_step", "empirical_bayes_estimate", "hard_threshold", "iht_run",
     "minimum_norm_estimate", "sigma2_hat", "support", "weighted_error",
-    "dore_run", "dore_step", "dore_weight", "AdoreResult", "UssEvaluation",
+    "dore_run", "dore_weight", "AdoreResult", "UssEvaluation",
     "UssScorer", "adore_run", "exact_ml_bruteforce", "golden_section_r_search",
     "FixedPointReport", "MatrixCertificate", "RecoveryFlags",
     "SparsityMeasures", "certify", "coherence", "min_ssq", "min_ssq_sampled",

@@ -3,13 +3,15 @@
 Matrices and vectors travel as headerless comma-separated values with '.'
 as the decimal mark (row-major for matrices, one value per line for
 vectors).  Results serialize to JSON through the ``to_json_dict``
-methods on the result dataclasses.  Read and write failures raise
-``InputError``.
+methods on the result dataclasses; a non-finite float, such as the
++inf USS score of an exact fit, is written as the string "inf", "-inf"
+or "nan".  Read and write failures raise ``InputError``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import warnings
 
 import numpy as np
@@ -71,5 +73,18 @@ def save_text(path, text: str) -> None:
     _save(path, "file", lambda handle: handle.write(text))
 
 
+def _json_safe(value):
+    """``value`` with every non-finite float written as the string "inf",
+    "-inf" or "nan", which strict JSON (RFC 8259) can carry."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(float(value))
+    if isinstance(value, dict):
+        return {key: _json_safe(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(item) for item in value]
+    return value
+
+
 def save_json(path, payload: dict) -> None:
-    save_text(path, json.dumps(payload, indent=2) + "\n")
+    text = json.dumps(_json_safe(payload), indent=2, allow_nan=False)
+    save_text(path, text + "\n")

@@ -7,7 +7,7 @@ two candidates has the smaller variance estimate.  The decision step means
 the accepted variance never exceeds the plain step's, so the objective
 trace stays nonincreasing while convergence speeds up considerably.
 
-``dore_step`` is the only code here that iterates: ``dore_run`` hands it
+``_dore_step`` is the only code here that iterates: ``dore_run`` hands it
 to the driver in ``recon``, which seeds the two iterates with plain steps
 and owns validation, the trace, the stopping test and the branch record.
 Each ``recon.Iterate`` carries its measurement-space images H s and
@@ -51,8 +51,8 @@ def dore_weight(h_to, g_to, h_from, g_from, g_y) -> float:
     return weight if math.isfinite(weight) else 0.0
 
 
-def dore_step(op: SensingOperator, y, g_y, prev: Iterate, curr: Iterate, r: int
-              ) -> tuple[Iterate, str]:
+def _dore_step(op: SensingOperator, y, g_y, prev: Iterate, curr: Iterate, r: int
+               ) -> tuple[Iterate, str]:
     """One accelerated iteration: refine, extrapolate twice, threshold, decide.
 
     ``g_y`` is (H H^T)^{-1} y, and ``prev`` and ``curr`` are the two latest
@@ -87,4 +87,4 @@ def dore_run(op: SensingOperator, y, r: int, s0=None,
 
     Non-finite y or s0 raise :class:`InputError`.
     """
-    return _drive(op, y, r, s0, stop, dore_step)
+    return _drive(op, y, r, s0, stop, _dore_step)

@@ -48,7 +48,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InputError, SizeGuardError, _count
-from .operators import DenseOperator, SensingOperator, _finite_matrix, _finite_vector
+from .operators import DenseOperator, SensingOperator, _as_matrix, _finite_vector
 from .recon import _as_measurements
 
 MIN_SSQ_GUARD = 10_000_000
@@ -56,14 +56,6 @@ SAMPLED_SUPPORTS = 10_000
 _ZERO_EIG_TOL = 1e-14
 # supports per stacked eigenvalue call; bounds the (chunk, r, r) work arrays
 _CHUNK = 1024
-
-
-def _as_matrix(h) -> np.ndarray:
-    if isinstance(h, DenseOperator):
-        return h.matrix
-    if isinstance(h, SensingOperator):
-        raise InputError("exact matrix analysis needs an explicit dense matrix")
-    return _finite_matrix(h)
 
 
 def _exact_supports(m: int, r: int, guard: int):

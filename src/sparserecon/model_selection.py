@@ -31,8 +31,7 @@ import numpy as np
 
 from .dore import dore_run
 from .errors import InputError, SizeGuardError, _count
-from .matrix_analysis import _as_matrix
-from .operators import DenseOperator, SensingOperator
+from .operators import DenseOperator, SensingOperator, _as_matrix
 from .recon import (
     ParamEstimate,
     ReconstructionResult,

@@ -130,7 +130,7 @@ class SensingOperator(ABC):
         )
 
 
-def probe_rows_orthonormal(op: SensingOperator) -> bool:
+def _probe_rows_orthonormal(op: SensingOperator) -> bool:
     """Check H H^T = I by probing.
 
     Uses the full basis for small N (exact check of every column of H H^T)
@@ -164,15 +164,16 @@ class DenseOperator(SensingOperator):
 
     def __init__(self, matrix):
         matrix = _finite_matrix(matrix)
-        n_rows, n_cols = matrix.shape
+        # the shape rule runs first: a tall matrix is refused before its
+        # N x N gram is formed
+        super().__init__(*matrix.shape, False, "dense")
         gram = matrix @ matrix.T
-        orthonormal = bool(
-            np.max(np.abs(gram - np.eye(n_rows))) <= _ORTHO_TOL
+        self.rows_orthonormal = bool(
+            np.max(np.abs(gram - np.eye(self.n_rows))) <= _ORTHO_TOL
         )
-        super().__init__(n_rows, n_cols, orthonormal, "dense")
         self.matrix = matrix
         self.gram_lower = None
-        if not orthonormal:
+        if not self.rows_orthonormal:
             try:
                 self.gram_lower = np.asfortranarray(np.linalg.cholesky(gram))
             except np.linalg.LinAlgError as exc:
@@ -196,15 +197,20 @@ class DenseOperator(SensingOperator):
         return x
 
 
-def dct_matrix(n: int) -> np.ndarray:
-    """The n x n orthonormal type-II DCT matrix T, with T[k] the k-th basis row."""
-    return scipy.fft.dct(np.eye(_count(n, "n", 1)), type=2, norm="ortho", axis=0)
+def _as_matrix(h) -> np.ndarray:
+    """The explicit matrix of ``h``: a ``DenseOperator``'s own, or ``h``
+    checked by ``_finite_matrix``; a matrix-free operator is refused."""
+    if isinstance(h, DenseOperator):
+        return h.matrix
+    if isinstance(h, SensingOperator):
+        raise InputError("exact matrix analysis needs an explicit dense matrix")
+    return _finite_matrix(h)
 
 
 def partial_dct_matrix(n_cols: int, rows) -> np.ndarray:
     """Dense submatrix of the orthonormal type-II DCT given 0-based row indices."""
     rows = _check_row_indices(rows, n_cols)
-    return dct_matrix(n_cols)[rows, :]
+    return scipy.fft.dct(np.eye(n_cols), type=2, norm="ortho", axis=0)[rows, :]
 
 
 def _check_row_indices(rows, n_cols: int) -> np.ndarray:
@@ -232,7 +238,7 @@ class PartialDctOperator(SensingOperator):
         rows = _check_row_indices(rows, n_cols)
         super().__init__(rows.size, n_cols, True, "partial-dct")
         self._rows = rows
-        if not probe_rows_orthonormal(self):
+        if not _probe_rows_orthonormal(self):
             raise InputError("partial DCT row selection failed orthonormality check")
 
     def apply(self, v) -> np.ndarray:
@@ -341,7 +347,7 @@ class PartialDft2Operator(SensingOperator):
         n_rows = self._self.size + 2 * self._pairs.size
         super().__init__(n_rows, side * side, True, "partial-dft2")
         self.side = side
-        if not probe_rows_orthonormal(self):
+        if not _probe_rows_orthonormal(self):
             raise InputError("partial DFT mask failed orthonormality check")
 
     def apply(self, v) -> np.ndarray:

@@ -23,7 +23,7 @@ It owns the objective trace, the stopping test and the result, whose one
 z = s + H^T (g_y - g_s) and images the thresholded signal, at 1 apply,
 1 gram solve and 1 adjoint per iteration.  A method supplies only its
 step: ECME and IHT take the plain step throughout, DORE takes two plain
-steps and then its overrelaxed step (``dore.dore_step``).
+steps and then its overrelaxed step (``dore._dore_step``).
 
 With orthonormal rows (H H^T = I) the refinement step is exactly one
 iterative-hard-thresholding (IHT) step; ``iht_run`` is that special case
@@ -230,7 +230,7 @@ def _drive(op: SensingOperator, y, r: int, s0, stop: StoppingRule | None,
     """The iteration loop behind every solver.
 
     Runs :func:`_plain_step` until the stopping rule fires.  When ``step``
-    is given (``dore.dore_step``: a function of (op, y, g_y, prev, curr, r)
+    is given (``dore._dore_step``: a function of (op, y, g_y, prev, curr, r)
     returning the next :class:`Iterate` and the branch it took), the first
     two updates stay plain steps, to seed both iterates, and ``step`` takes
     every later one; its branches are recorded in ``branches``.

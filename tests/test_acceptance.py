@@ -2,6 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines as they complete.  Tolerances are pinned here and nowhere else.
+Beside criteria 3 and 4, two property tests carry their claims from the
+golden matrix to drawn ones, at every level the certificate guarantees.
 """
 
 import math
@@ -10,6 +12,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sparserecon import (
     BenchConfig,
@@ -20,6 +23,7 @@ from sparserecon import (
     UssScorer,
     adore_run,
     benchmark_sweep,
+    certify,
     dore_run,
     dore_weight,
     ecme_run,
@@ -28,6 +32,7 @@ from sparserecon import (
     hard_threshold,
     iht_run,
     min_ssq,
+    partial_dct_matrix,
     ric,
     sigma2_hat,
     spark,
@@ -131,6 +136,81 @@ def test_criterion_04_noisy_error_bound(bench_dct_operator, bench_dct_matrix):
             if np.linalg.norm(res.estimate.s - truth) > bound:
                 violations += 1
         assert violations == 0
+
+
+@st.composite
+def _matrix_draws(draw):
+    """(kind, m, N, seed) of a small proper matrix with m/2 < N < m: half
+    Gaussian, half partial DCT, since certified levels are rare among
+    Gaussian draws, and N drawn down from m - 1, since they are rare far
+    from square."""
+    m = draw(st.integers(6, 14))
+    n = m - draw(st.integers(1, m - m // 2 - 1))
+    return (draw(st.sampled_from(("gaussian", "dct"))), m, n,
+            draw(st.integers(0, 2**32 - 1)))
+
+
+def _certified_levels(kind, m, n, seed):
+    """The drawn matrix as an operator, and each (r, min 2r-SSQ) at which
+    ``certify`` sets ``recovery_guaranteed``."""
+    rng = np.random.default_rng(seed)
+    h = (rng.standard_normal((n, m)) if kind == "gaussian"
+         else partial_dct_matrix(m, np.sort(rng.choice(m, size=n, replace=False))))
+    flags = certify(h, n // 2).flags
+    return DenseOperator(h), [(f.r, f.rho_2r_min) for f in flags if f.recovery_guaranteed]
+
+
+def _sparse_signal(rng, m, r):
+    truth = np.zeros(m)
+    amplitudes = rng.standard_normal(r)
+    truth[rng.choice(m, size=r, replace=False)] = amplitudes + np.sign(amplitudes) * 0.5
+    return truth
+
+
+@settings(max_examples=60, deadline=None)
+@given(draw=_matrix_draws(), seed=st.integers(0, 2**32 - 1))
+@example(draw=("dct", 12, 11, 0), seed=0)  # certifies r = 1 and 2
+@example(draw=("gaussian", 10, 9, 4), seed=0)  # certifies r = 1
+def test_certified_levels_recover_every_sparse_signal(draw, seed):
+    """Criterion 3 on drawn matrices: at each certified level, ECME and DORE
+    recover r-sparse signals from zero and from random r-sparse starts."""
+    op, levels = _certified_levels(*draw)
+    rng = np.random.default_rng(seed)
+    stop = StoppingRule(tol=1e-20, max_iter=3000)
+    for r, _ in levels:
+        for _ in range(4):
+            truth = _sparse_signal(rng, op.n_cols, r)
+            y = op.apply(truth)
+            inits = [None] + [hard_threshold(rng.standard_normal(op.n_cols), r)
+                              for _ in range(4)]
+            for s0 in inits:
+                for runner in (ecme_run, dore_run):
+                    res = runner(op, y, r, s0=s0, stop=stop)
+                    err = float(np.linalg.norm(res.estimate.s - truth))
+                    assert err <= 1e-8, (r, runner.__name__, err)
+
+
+@settings(max_examples=60, deadline=None)
+@given(draw=_matrix_draws(), seed=st.integers(0, 2**32 - 1))
+@example(draw=("dct", 12, 11, 0), seed=0)
+@example(draw=("gaussian", 10, 9, 4), seed=0)
+def test_certified_levels_obey_the_noisy_error_bound(draw, seed):
+    """Criterion 4 on drawn matrices, with rho the certified min 2r-SSQ."""
+    op, levels = _certified_levels(*draw)
+    rng = np.random.default_rng(seed)
+    stop = StoppingRule(tol=1e-20, max_iter=4000)
+    for r, rho in levels:
+        denom = math.sqrt(rho) - math.sqrt(1.0 - rho)
+        for _ in range(10):
+            truth = _sparse_signal(rng, op.n_cols, r)
+            clean = op.apply(truth)
+            noise = rng.standard_normal(op.n_rows)
+            noise *= 0.1 * np.linalg.norm(clean) / np.linalg.norm(noise)
+            bound = 2.0 * np.linalg.norm(op.apply_adjoint(op.gram_solve(noise))) / denom
+            for runner in (ecme_run, dore_run):
+                res = runner(op, clean + noise, r, stop=stop)
+                err = float(np.linalg.norm(res.estimate.s - truth))
+                assert err <= bound, (r, runner.__name__, err, bound)
 
 
 def test_criterion_05_monotonicity_and_stationarity():

@@ -1,20 +1,24 @@
 """Command-line interface: file round trips and exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sparserecon import BenchConfig, InputError, cli, experiments
+from sparserecon import (BenchConfig, InputError, cli, experiments, model_selection,
+                         random_instance)
 from sparserecon.cli import main
 from sparserecon.dataio import (
     load_matrix_csv,
     load_vector_csv,
+    save_json,
     save_matrix_csv,
     save_vector_csv,
 )
@@ -45,6 +49,61 @@ def test_vector_accepts_single_row(tmp_path):
     path = tmp_path / "row.csv"
     path.write_text("1.5,2.5,3.5\n")
     assert np.array_equal(load_vector_csv(path), [1.5, 2.5, 3.5])
+
+
+@pytest.fixture()
+def exact_fit_files(tmp_path):
+    """A noiseless Gaussian problem whose ADORE search fits some levels
+    exactly, so those levels score USS = +inf."""
+    problem = random_instance(60, 30, 3, 0.0, 1)
+    matrix_path, y_path = tmp_path / "H.csv", tmp_path / "y.csv"
+    save_matrix_csv(matrix_path, problem.operator.matrix)
+    save_vector_csv(y_path, problem.y)
+    return str(matrix_path), str(y_path)
+
+
+def _strict_json(path):
+    """Parse ``path`` as RFC 8259 JSON: Infinity, -Infinity and NaN are refused."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_save_json_writes_non_finite_floats_as_strings(tmp_path):
+    path = tmp_path / "values.json"
+    save_json(path, {"values": [math.inf, -math.inf, math.nan, 1.5], "flag": True})
+    assert _strict_json(path) == {"values": ["inf", "-inf", "nan", 1.5], "flag": True}
+
+
+def test_adore_out_is_strict_json(tmp_path, exact_fit_files, capsys):
+    matrix_path, y_path = exact_fit_files
+    out = tmp_path / "adore.json"
+    assert main(["adore", "--matrix", matrix_path, "--y", y_path,
+                 "--out", str(out)]) == 0
+    payload = _strict_json(out)
+    assert "inf" in [entry["uss"] for entry in payload["probed"]]
+
+
+def test_adore_out_time_covers_every_probe(tmp_path, exact_fit_files, monkeypatch,
+                                           capsys):
+    """The file's elapsed_seconds is the whole search, not its last solver run."""
+    durations = []
+    dore = model_selection.dore_run
+
+    def timed(*args, **kwargs):
+        start = time.perf_counter()
+        result = dore(*args, **kwargs)
+        durations.append(time.perf_counter() - start)
+        return result
+
+    monkeypatch.setattr(model_selection, "dore_run", timed)
+    matrix_path, y_path = exact_fit_files
+    out = tmp_path / "adore.json"
+    assert main(["adore", "--matrix", matrix_path, "--y", y_path,
+                 "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert len(durations) == payload["dore_runs"] >= 2
+    assert payload["elapsed_seconds"] >= sum(durations)
 
 
 @pytest.mark.parametrize("solver", ["ecme", "dore"])
@@ -113,6 +172,17 @@ def test_analyze_exact(tmp_path, toy_files, capsys):
     assert cert["per_r"][1]["gamma"] == pytest.approx(1.618, abs=1e-3)
     assert cert["guarantees"][0]["p0_unique"] is True
     assert cert["guarantees"][0]["recovery_guaranteed"] is False
+
+
+def test_analyze_has_no_exact_flag(toy_files, capsys):
+    """Exact mode is the default; --sampled alone selects the other mode."""
+    matrix_path, _ = toy_files
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--matrix", matrix_path, "--r-max", "1", "--exact"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit):
+        main(["analyze", "--help"])
+    assert "--exact" not in capsys.readouterr().out
 
 
 def test_analyze_sampled_labeled_non_exact(tmp_path, toy_files):

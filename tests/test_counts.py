@@ -26,9 +26,7 @@ from sparserecon import (
     UssScorer,
     adore_run,
     certify,
-    dct_matrix,
     dore_run,
-    dore_step,
     ecme_run,
     exact_ml_bruteforce,
     golden_section_r_search,
@@ -47,7 +45,6 @@ from sparserecon import (
     urp,
     verify_fixed_point,
 )
-from sparserecon.recon import _image, _plain_step
 
 # Records the library returns, not inputs a caller builds.
 RESULT_RECORDS = {
@@ -71,12 +68,6 @@ class _Bare(SensingOperator):
         return w
 
 
-def _dore_step(r):
-    g_y = OP.gram_solve(Y)
-    prev = _image(OP, Y, g_y, np.zeros(OP.n_cols))
-    return dore_step(OP, Y, g_y, prev, _plain_step(OP, Y, g_y, prev, 2), r)
-
-
 def _peak_at_two(r):
     return -abs(r - 2)
 
@@ -85,7 +76,6 @@ def _peak_at_two(r):
 COUNTS = {
     ("SensingOperator", "n_rows"): (lambda n: _Bare(n, 4, True, "bare"), 2, 0),
     ("SensingOperator", "n_cols"): (lambda n: _Bare(1, n, True, "bare"), 2, 0),
-    ("dct_matrix", "n"): (dct_matrix, 4, 0),
     ("partial_dct_matrix", "n_cols"): (lambda n: partial_dct_matrix(n, [0, 1]), 4, 0),
     ("PartialDctOperator", "n_cols"): (lambda n: PartialDctOperator(n, [0, 1]), 4, 0),
     ("HaarBasis", "side"): (HaarBasis, 4, 0),
@@ -95,7 +85,6 @@ COUNTS = {
     ("ecme_run", "r"): (lambda r: ecme_run(OP, Y, r, stop=STOP), 2, -1),
     ("iht_run", "r"): (lambda r: iht_run(DCT, Y_DCT, r, stop=STOP), 2, -1),
     ("dore_run", "r"): (lambda r: dore_run(OP, Y, r, stop=STOP), 2, -1),
-    ("dore_step", "r"): (_dore_step, 2, -1),
     ("UssScorer.evaluate", "r"): (lambda r: UssScorer(OP, Y).evaluate(r, 0.3), 2, -1),
     ("adore_run", "resolution"): (lambda k: adore_run(OP, Y, k, STOP), 1, 0),
     ("exact_ml_bruteforce", "r"): (lambda r: exact_ml_bruteforce(OP, Y, r), 2, -1),

@@ -17,6 +17,9 @@ DEMOS = ["01_solver_basics.py", "02_acceleration.py", "03_matrix_measures.py",
 @pytest.mark.parametrize("name", DEMOS)
 def test_demo_runs(name, tmp_path):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    done = subprocess.run([sys.executable, str(ROOT / "demos" / name)], cwd=tmp_path,
+    # a subprocess does not inherit pytest's filters: -W gives the demos the
+    # suite's RuntimeWarning-as-error rule
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           str(ROOT / "demos" / name)], cwd=tmp_path,
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr

@@ -17,7 +17,6 @@ from sparserecon import (
     SensingOperator,
     StoppingRule,
     dore_run,
-    dore_step,
     dore_weight,
     ecme_run,
     ecme_step,
@@ -28,6 +27,7 @@ from sparserecon import (
     verify_fixed_point,
     weighted_error,
 )
+from sparserecon.dore import _dore_step
 from sparserecon.recon import Iterate, _as_measurements, _initial_signal
 
 
@@ -128,7 +128,7 @@ def test_alpha1_minimizes_error_along_ray():
             assert best <= trial_err + 1e-10
 
 
-# ------------------------------------------------------------------ dore_step
+# ----------------------------------------------------------------- _dore_step
 
 def test_decision_prefers_plain_candidate_on_tie():
     # at a fixed point both candidates coincide, sigma2_tilde == sigma2_hat,
@@ -137,7 +137,7 @@ def test_decision_prefers_plain_candidate_on_tie():
     op, y, truth = _random_problem(rng, n=12, m=20, r=2)
     res = dore_run(op, y, 2, stop=StoppingRule(tol=1e-30, max_iter=3000))
     fixed = _iterate(op, res.estimate)
-    nxt, branch = dore_step(op, y, op.gram_solve(y), fixed, fixed, 2)
+    nxt, branch = _dore_step(op, y, op.gram_solve(y), fixed, fixed, 2)
     assert branch == "ecme"
     assert np.array_equal(nxt.s, res.estimate.s)
 
@@ -149,7 +149,7 @@ def test_dore_step_never_worse_than_plain_step():
                                    noise=0.2 if trial % 2 else 0.0,
                                    orthonormal=trial % 3 == 0)
         g_y, prev, curr = _seed_state(op, y, 2)
-        nxt, _ = dore_step(op, y, g_y, prev, curr, 2)
+        nxt, _ = _dore_step(op, y, g_y, prev, curr, 2)
         plain = ecme_step(op, y, ParamEstimate(curr.s, curr.sigma2, 2))
         assert nxt.sigma2 <= plain.sigma2 * (1 + 1e-12) + 1e-300
 
@@ -161,7 +161,7 @@ def test_dore_step_cost_budget():
     g_y, prev, curr = _seed_state(counter, y, 3)
     counter.n_apply = counter.n_gram = counter.n_adjoint = 0
     for _ in range(5):
-        prev, (curr, _) = curr, dore_step(counter, y, g_y, prev, curr, 3)
+        prev, (curr, _) = curr, _dore_step(counter, y, g_y, prev, curr, 3)
     applies, grams, adjoints = counter.counts()
     assert applies <= 3 * 5
     assert grams <= 2 * 5
@@ -212,7 +212,7 @@ def test_dore_run_monotone_trace_and_branches():
         # the images carried by linear combination never drift
         g_y, prev, curr = _seed_state(op, y, 4)
         for _ in range(res.iterations - 2):
-            prev, (curr, _) = curr, dore_step(op, y, g_y, prev, curr, 4)
+            prev, (curr, _) = curr, _dore_step(op, y, g_y, prev, curr, 4)
             _assert_images_fresh(op, curr)
 
 

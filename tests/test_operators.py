@@ -1,6 +1,7 @@
 """Operator surface: apply/adjoint/gram_solve contracts for every kind."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,9 +16,8 @@ from sparserecon import (
     PartialDctOperator,
     PartialDft2Operator,
     partial_dct_matrix,
-    probe_rows_orthonormal,
 )
-from sparserecon.operators import dct_matrix
+from sparserecon.operators import _probe_rows_orthonormal
 
 
 def test_identity_apply_adjoint():
@@ -144,6 +144,17 @@ def test_rank_deficient_rejected():
 def test_wide_requirement():
     with pytest.raises(InputError):
         DenseOperator(np.random.default_rng(0).standard_normal((5, 3)))
+    # refused before its gram is formed: the 2000 x 2000 gram alone is 32 MB
+    tall = np.ones((2000, 1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError,
+                           match="not a proper sensing matrix: N=2000 exceeds m=1"):
+            DenseOperator(tall)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
 
 
 def test_adjoint_identity_all_kinds(toy_operator, bench_dct_operator):
@@ -205,10 +216,10 @@ def test_rows_orthonormal_flag_matches_probe():
     rng = np.random.default_rng(4)
     dense = DenseOperator(rng.standard_normal((6, 12)))
     assert not dense.rows_orthonormal
-    assert not probe_rows_orthonormal(dense)
+    assert not _probe_rows_orthonormal(dense)
     ortho = DenseOperator(np.linalg.qr(rng.standard_normal((12, 6)))[0].T)
     assert ortho.rows_orthonormal
-    assert probe_rows_orthonormal(ortho)
+    assert _probe_rows_orthonormal(ortho)
 
 
 # ---------------------------------------------------------------- partial DCT
@@ -253,7 +264,7 @@ def test_row_indices_must_be_integers(rows):
 
 
 def test_dct_matrix_is_orthogonal():
-    T = dct_matrix(16)
+    T = partial_dct_matrix(16, np.arange(16))
     assert np.abs(T @ T.T - np.eye(16)).max() < 1e-12
     assert partial_dct_matrix(16, [3, 5]).shape == (2, 16)
 
@@ -430,7 +441,7 @@ def test_dft2_self_conjugate_rows():
     mask[0, 0] = mask[2, 2] = True  # both self-conjugate on an even grid
     op = PartialDft2Operator(mask)
     assert op.n_rows == 2
-    assert probe_rows_orthonormal(op)
+    assert _probe_rows_orthonormal(op)
 
 
 def test_dft2_empty_mask_rejected():
