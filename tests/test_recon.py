@@ -20,6 +20,7 @@ from sparserecon import (
     hard_threshold,
     iht_run,
     minimum_norm_estimate,
+    random_instance,
     sigma2_hat,
     support,
     weighted_error,
@@ -424,6 +425,39 @@ def test_solvers_byte_identical_to_cho_solve_path(seed, noise):
     scores = [np.array([[e.sigma2_est, e.uss_value] for e in auto.evaluations])
               for auto in (auto_fast, auto_plain)]
     assert scores[0].tobytes() == scores[1].tobytes()
+
+
+class FullProductDenseOperator(DenseOperator):
+    """Dense operator whose apply always reads every column of H: the
+    reference for the support gather.  Its gram factor and adjoint are the
+    dense kind's own."""
+
+    def apply(self, v):
+        return self.matrix @ np.asarray(v, dtype=float)
+
+
+def _run_summary(result):
+    return (support(result.estimate.s).tolist(), result.iterations, result.converged)
+
+
+@pytest.mark.parametrize("m,n,r,seed", [(500, 200, 10, 1), (500, 200, 10, 2),
+                                        (2000, 800, 40, 3)],
+                         ids=["d200-1", "d200-2", "d800-3"])
+def test_solvers_match_full_product_path(m, n, r, seed):
+    """Both sizes pass the gather's size gate and the solvers' r-sparse
+    applies its density gate, so those applies round differently from the
+    full product; supports, iteration counts and ADORE's selection must
+    not move."""
+    inst = random_instance(m, n, r, 0.0, seed)
+    gathered, full = inst.operator, FullProductDenseOperator(inst.operator.matrix)
+    for run in (ecme_run, dore_run):
+        assert (_run_summary(run(gathered, inst.y, r))
+                == _run_summary(run(full, inst.y, r)))
+    if m == 500:
+        auto_gathered, auto_full = adore_run(gathered, inst.y), adore_run(full, inst.y)
+        assert auto_gathered.r_selected == auto_full.r_selected
+        assert auto_gathered.dore_runs == auto_full.dore_runs
+        assert _run_summary(auto_gathered.final) == _run_summary(auto_full.final)
 
 
 # ------------------------------------------------------------- value objects
