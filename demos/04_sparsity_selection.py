@@ -7,7 +7,8 @@ maximum-likelihood variance is computable by brute-force support
 enumeration, and the score peaks exactly at the true support size.  At
 realistic sizes the automatic driver replaces the exact variance with the
 accelerated solver's estimate and locates the peak by golden-section
-search, paying one solver run per probed level.
+search, paying one solver run per probed level.  Each run starts from the
+estimate of the nearest level probed before it (from zero for the first).
 
 Run:  python3 demos/04_sparsity_selection.py
 """
@@ -57,6 +58,12 @@ result = adore_run(bench, y, resolution=1,
                    stop=StoppingRule(tol=1e-24, max_iter=3000))
 print("automatic run on the 21x32 DCT benchmark with a 1-sparse truth:")
 print(f"  probed levels : {[e.r for e in result.evaluations]}")
+for e, start, iterations in zip(result.evaluations, result.start_r, result.iterations):
+    if e.r == 0:
+        print("    r= 0: the empty model, no solver run")
+    else:
+        origin = "zero" if start is None else f"the r={start} estimate"
+        print(f"    r={e.r:>2}: {iterations:>3} iterations from {origin}")
 print(f"  solver runs   : {result.dore_runs} "
       f"(vs {math.ceil(21 / 2) + 1} for an exhaustive scan)")
 print(f"  selected r    : {result.r_selected}")

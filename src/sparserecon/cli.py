@@ -103,7 +103,8 @@ def _cmd_solver(args) -> int:
     if args.command == "adore":
         auto = run.result
         print(f"adore: selected r={auto.r_selected} after {auto.dore_runs} "
-              f"solver runs; final sigma2={auto.final.estimate.sigma2:.6g}")
+              f"solver runs of {sum(auto.iterations)} iterations; "
+              f"final sigma2={auto.final.estimate.sigma2:.6g}")
     else:
         print(f"{args.command}: iterations={run.iterations} "
               f"converged={run.converged} sigma2={run.result.estimate.sigma2:.6g}")

@@ -90,10 +90,17 @@ def _support_chunks(supports, r: int):
 
 
 def _sampled_supports(m: int, r: int, n_samples: int, seed: int):
-    """Sorted random size-r supports, drawn one ``rng.choice`` at a time."""
+    """Sorted random size-r supports, drawn ``_CHUNK`` at a time: the r
+    smallest of a row of m uniforms sit at a uniformly random size-r subset."""
     n_samples = _count(n_samples, "n_samples", 1)
     rng = np.random.default_rng(_count(seed, "seed"))
-    return (np.sort(rng.choice(m, size=r, replace=False)) for _ in range(n_samples))
+
+    def draws():
+        for start in range(0, n_samples, _CHUNK):
+            block = rng.random((min(_CHUNK, n_samples - start), m))
+            yield from np.sort(np.argpartition(block, r - 1, axis=1)[:, :r], axis=1)
+
+    return draws()
 
 
 def _block_eigs(form: np.ndarray, idx: np.ndarray) -> np.ndarray:

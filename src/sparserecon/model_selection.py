@@ -18,7 +18,11 @@ for validating the selection rule.  ``adore_run`` replaces the intractable
 exact variance with the accelerated solver's estimate and drives an
 integer golden-section search over r in [0, ceil(N/2)].  The search owns
 its edge cases (resolution clamp, r_max = 1), so every N takes one path,
-and one table of probes, r -> (score, reconstruction), builds the result.
+and one table of probes, r -> (score, reconstruction, start), builds the
+result.  Each solver run is warm-started from the table: it begins at the
+estimate of the nearest level probed so far (ties to the smaller level),
+thresholded to r nonzeros if it has more, and from zero when that level is
+r = 0 or nothing has been probed yet.
 """
 
 from __future__ import annotations
@@ -196,20 +200,29 @@ def golden_section_r_search(evaluator, r_max: int, resolution: int = 1) -> int:
 class AdoreResult:
     """Outcome of the automatic run: selected level, every probed score,
     the reconstruction at the selected level, and how many full solver runs
-    the search spent."""
+    the search spent.
+
+    ``iterations`` and ``start_r`` run parallel to ``evaluations``: each
+    probe's solver iterations (0 at r = 0) and the probed level whose
+    estimate its run started from (None for a start from zero).
+    """
 
     r_selected: int
     evaluations: list[UssEvaluation]
     final: ReconstructionResult
     dore_runs: int
+    iterations: list[int]
+    start_r: list[int | None]
 
     def to_json_dict(self) -> dict:
         return {
             "r_selected": self.r_selected,
             "dore_runs": self.dore_runs,
             "probed": [
-                {"r": e.r, "sigma2": e.sigma2_est, "uss": e.uss_value}
-                for e in self.evaluations
+                {"r": e.r, "sigma2": e.sigma2_est, "uss": e.uss_value,
+                 "iterations": iterations, "start_r": start}
+                for e, iterations, start in zip(self.evaluations, self.iterations,
+                                                self.start_r)
             ],
             "final": self.final.to_json_dict(),
         }
@@ -222,6 +235,9 @@ def adore_run(op: SensingOperator, y, resolution: int = 1,
     Golden-section search over r in [0, ceil(N/2)] scores each probed level
     with the accelerated solver's variance estimate; r = 0 is the empty
     model (zero signal, the baseline variance), scored at no solver cost.
+    The run at level r starts from the estimate of the nearest level probed
+    before it, r' minimising |r - r'| with ties to the smaller r'; it starts
+    from zero when r' = 0 or when it is the first probe.
     """
     y = np.asarray(y, dtype=float)
     scorer = UssScorer(op, y)  # validates y != 0
@@ -232,20 +248,27 @@ def adore_run(op: SensingOperator, y, resolution: int = 1,
         converged=True,
         elapsed_seconds=0.0,
     )
-    probes: dict[int, tuple[UssEvaluation, ReconstructionResult]] = {}
+    probes: dict[int, tuple[UssEvaluation, ReconstructionResult, int | None]] = {}
 
     def evaluator(r: int):
-        result = empty if r == 0 else dore_run(op, y, r, stop=stop)
+        nearest = min(probes, key=lambda p: (abs(r - p), p), default=0)
+        # level 0 holds the zero signal, so starting there is starting cold
+        start = nearest if r and nearest else None
+        s0 = probes[start][1].estimate.s if start else None
+        result = dore_run(op, y, r, s0=s0, stop=stop) if r else empty
         evaluation = scorer.evaluate(r, result.estimate.sigma2)
-        probes[r] = (evaluation, result)
+        probes[r] = (evaluation, result, start)
         return evaluation.sort_key
 
     r_selected = golden_section_r_search(
         evaluator, math.ceil(op.n_rows / 2), resolution
     )
+    evaluations, runs, starts = zip(*(probes[r] for r in sorted(probes)))
     return AdoreResult(
         r_selected=r_selected,
-        evaluations=[probes[r][0] for r in sorted(probes)],
+        evaluations=list(evaluations),
         final=probes[r_selected][1],
         dore_runs=sum(r > 0 for r in probes),
+        iterations=[run.iterations for run in runs],
+        start_r=list(starts),
     )

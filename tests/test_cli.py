@@ -106,6 +106,36 @@ def test_adore_out_time_covers_every_probe(tmp_path, exact_fit_files, monkeypatc
     assert payload["elapsed_seconds"] >= sum(durations)
 
 
+def test_adore_out_records_each_probe_start_and_iterations(tmp_path, exact_fit_files,
+                                                          monkeypatch, capsys):
+    """Each probed entry of --out carries its solver iterations and the level
+    its run started from, and the summary line prints their total."""
+    calls = []
+    dore = model_selection.dore_run
+
+    def recorded(op, y, r, s0=None, stop=None):
+        result = dore(op, y, r, s0=s0, stop=stop)
+        calls.append((r, s0 is None, result.iterations))
+        return result
+
+    monkeypatch.setattr(model_selection, "dore_run", recorded)
+    matrix_path, y_path = exact_fit_files
+    out = tmp_path / "adore.json"
+    assert main(["adore", "--matrix", matrix_path, "--y", y_path,
+                 "--out", str(out)]) == 0
+    probed = {entry["r"]: entry for entry in _strict_json(out)["probed"]}
+    assert len(calls) >= 2 and calls[0][1]  # the first run starts from zero
+    for r, cold, iterations in calls:
+        assert probed[r]["iterations"] == iterations
+        assert (probed[r]["start_r"] is None) == cold
+        assert probed[r]["start_r"] is None or probed[r]["start_r"] in probed
+    assert any(entry["start_r"] is not None for entry in probed.values())
+    if 0 in probed:
+        assert (probed[0]["iterations"], probed[0]["start_r"]) == (0, None)
+    total = sum(iterations for _, _, iterations in calls)
+    assert f"solver runs of {total} iterations" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("solver", ["ecme", "dore"])
 def test_solver_subcommands(tmp_path, toy_files, solver, capsys):
     matrix_path, y_path = toy_files

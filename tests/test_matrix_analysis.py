@@ -326,6 +326,18 @@ def test_sampled_modes_bound_exact_values():
     assert approx_gamma <= exact_gamma + 1e-12  # lower bound on the maximum
 
 
+@pytest.mark.parametrize("m, r, n_samples", [
+    (13, 3, 200), (120, 5, 2 * matrix_analysis._CHUNK + 7), (6, 6, 3), (9, 1, 50)])
+def test_sampled_supports_are_valid(m, r, n_samples):
+    supports = np.array(list(matrix_analysis._sampled_supports(m, r, n_samples, 4)))
+    assert supports.shape == (n_samples, r)
+    assert ((supports >= 0) & (supports < m)).all()
+    assert (np.diff(supports, axis=1) > 0).all()  # sorted and distinct
+    # one seed, one stream
+    again = list(matrix_analysis._sampled_supports(m, r, n_samples, 4))
+    assert np.array_equal(supports, again)
+
+
 def test_sampled_modes_need_a_sample():
     H = np.random.default_rng(20).standard_normal((4, 8))
     for sampled in (min_ssq_sampled, ric_sampled):
@@ -405,8 +417,14 @@ def _loop_ric(h, supports):
 
 
 def _sampled(m, r, n_samples, seed):
+    """The sampled supports: blocks of ``_CHUNK`` rows of m uniforms, and
+    each row's support is where its r smallest sit, ascending."""
     rng = np.random.default_rng(seed)
-    return [np.sort(rng.choice(m, size=r, replace=False)) for _ in range(n_samples)]
+    supports = []
+    for start in range(0, n_samples, matrix_analysis._CHUNK):
+        block = rng.random((min(matrix_analysis._CHUNK, n_samples - start), m))
+        supports.extend(np.sort(np.argsort(row)[:r]) for row in block)
+    return supports
 
 
 def _loop_spark(h):

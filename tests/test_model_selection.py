@@ -21,6 +21,7 @@ from sparserecon import (
     hard_threshold,
     StoppingRule,
 )
+from sparserecon import model_selection
 from sparserecon.model_selection import GOLDEN
 
 
@@ -408,10 +409,21 @@ def test_adore_json_payload(bench_dct_dense):
     assert payload["dore_runs"] == result.dore_runs
 
 
+def _reference_nearest_probed(probed, r, r_max):
+    """The probed level nearest to r, looking below before above at each
+    distance, or None when nothing is probed."""
+    for distance in range(1, r_max + 1):
+        for level in (r - distance, r + distance):
+            if level in probed:
+                return level
+    return None
+
+
 def _reference_adore_run(op, y, resolution=1, stop=None):
     """ADORE as it was before the probe table: a separate r_max = 1 path,
     the resolution clamp in the driver, and the r = 0 result built after the
-    search."""
+    search.  Each solver run starts from the estimate of the nearest probed
+    level, from zero when that is r = 0 or when none is probed."""
     y = np.asarray(y, dtype=float)
     scorer = UssScorer(op, y)
     r_max = math.ceil(op.n_rows / 2)
@@ -421,7 +433,9 @@ def _reference_adore_run(op, y, resolution=1, stop=None):
         if r == 0:
             evaluation = scorer.evaluate(0, scorer.baseline)
         else:
-            result = dore_run(op, y, r, stop=stop)
+            start = _reference_nearest_probed(evaluations, r, r_max)
+            s0 = runs[start].estimate.s if start in runs else None
+            result = dore_run(op, y, r, s0=s0, stop=stop)
             runs[r] = result
             evaluation = scorer.evaluate(r, result.estimate.sigma2)
         evaluations[r] = evaluation
@@ -499,6 +513,77 @@ def test_adore_byte_identical_to_reference_golden(bench_dct_dense):
     stop = StoppingRule(tol=1e-26, max_iter=4000)
     for resolution in (1, 2):
         _assert_adore_matches_reference(bench_dct_dense, y, resolution, stop)
+
+
+def _traced_adore(monkeypatch, op, y):
+    """adore_run with the search's probe order and each solver call's
+    (r, s0, result) recorded."""
+    order, calls = [], []
+    search, dore = model_selection.golden_section_r_search, model_selection.dore_run
+
+    def recorded_search(evaluator, *args):
+        def recording(r):
+            order.append(r)
+            return evaluator(r)
+        return search(recording, *args)
+
+    def recorded_dore(op, y, r, s0=None, stop=None):
+        result = dore(op, y, r, s0=s0, stop=stop)
+        calls.append((r, None if s0 is None else np.array(s0), result))
+        return result
+
+    monkeypatch.setattr(model_selection, "golden_section_r_search", recorded_search)
+    monkeypatch.setattr(model_selection, "dore_run", recorded_dore)
+    result = adore_run(op, y)
+    monkeypatch.undo()
+    return result, order, calls
+
+
+def _noisy_instances():
+    rng = np.random.default_rng(1811)
+    return [_planted(rng, 100, 256, 6, noise=0.01)[:2] for _ in range(8)]
+
+
+def test_adore_probes_start_from_nearest_probed_estimate(monkeypatch):
+    ties = 0
+    for op, y in _noisy_instances():
+        result, order, calls = _traced_adore(monkeypatch, op, y)
+        r_max = math.ceil(op.n_rows / 2)
+        assert calls[0][1] is None  # the first solver probe starts cold
+        estimates, starts, iterations = {}, {0: None}, {0: 0}
+        for r, s0, run in calls:
+            earlier = set(order[: order.index(r)])
+            start = _reference_nearest_probed(earlier, r, r_max)
+            if start is not None and 2 * r - start in earlier:
+                ties += 1
+            if start in (None, 0):
+                assert s0 is None
+            else:
+                assert s0 is not None and s0.tobytes() == estimates[start].tobytes()
+            estimates[r] = run.estimate.s
+            starts[r] = start or None
+            iterations[r] = run.iterations
+        assert result.start_r == [starts[e.r] for e in result.evaluations]
+        assert result.iterations == [iterations[e.r] for e in result.evaluations]
+    assert ties  # the tie rule was exercised
+
+
+def test_adore_warm_starts_spend_fewer_iterations(monkeypatch):
+    warm = cold = 0
+    for op, y in _noisy_instances():
+        warm += sum(run.iterations for _, _, run in _traced_adore(monkeypatch, op, y)[2])
+        scorer = UssScorer(op, y)
+
+        def cold_key(r):
+            nonlocal cold
+            if r == 0:
+                return scorer.evaluate(0, scorer.baseline).sort_key
+            run = dore_run(op, y, r)
+            cold += run.iterations
+            return scorer.evaluate(r, run.estimate.sigma2).sort_key
+
+        golden_section_r_search(cold_key, math.ceil(op.n_rows / 2))
+    assert warm < cold
 
 
 def test_adore_resolution_below_one_rejected_at_every_size(toy_operator):
