@@ -25,8 +25,9 @@ the subsets the screen cannot clear, so it returns what that test alone
 would.
 
 Each measure has one body, ``_min_ssq`` or ``_ric``, over a stream of
-supports; the exact and the sampled (non-exact) modes differ only in that
-stream: every support behind the size guard, or ``_sampled_supports``.
+support chunks; the exact and the sampled (non-exact) modes differ only in
+that stream: every support behind the size guard, grouped by
+``_support_chunks``, or the blocks ``_sampled_supports`` draws.
 Sampled modes exist for matrices too large for enumeration; they are
 labeled non-exact and never feed certificates.
 
@@ -80,7 +81,8 @@ def ssq(s, h) -> float:
 
 
 def _support_chunks(supports, r: int):
-    """Group an iterable of size-r supports into (<= _CHUNK, r) index arrays."""
+    """Group an iterable of size-r supports, such as a ``combinations``
+    stream, into (<= _CHUNK, r) index arrays."""
     supports = iter(supports)
     while True:
         flat = np.fromiter(chain.from_iterable(islice(supports, _CHUNK)), dtype=np.intp)
@@ -90,15 +92,16 @@ def _support_chunks(supports, r: int):
 
 
 def _sampled_supports(m: int, r: int, n_samples: int, seed: int):
-    """Sorted random size-r supports, drawn ``_CHUNK`` at a time: the r
-    smallest of a row of m uniforms sit at a uniformly random size-r subset."""
+    """Sorted random size-r supports as (<= _CHUNK, r) index arrays, one
+    per block of draws: the r smallest of a row of m uniforms sit at a
+    uniformly random size-r subset."""
     n_samples = _count(n_samples, "n_samples", 1)
     rng = np.random.default_rng(_count(seed, "seed"))
 
     def draws():
         for start in range(0, n_samples, _CHUNK):
             block = rng.random((min(_CHUNK, n_samples - start), m))
-            yield from np.sort(np.argpartition(block, r - 1, axis=1)[:, :r], axis=1)
+            yield np.sort(np.argpartition(block, r - 1, axis=1)[:, :r], axis=1)
 
     return draws()
 
@@ -110,18 +113,19 @@ def _block_eigs(form: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(form.ravel()[idx[:, :, None] * m + idx[:, None, :]])
 
 
-def _best_support(form: np.ndarray, supports, r: int, score,
+def _best_support(form: np.ndarray, chunks, score,
                   stop_at: float = -np.inf) -> tuple[float, tuple[int, ...]]:
     """Minimise ``score`` over the r x r principal blocks of an m x m form.
 
-    Supports stream in chunks of ``_CHUNK``; each chunk's eigenvalues come
-    from ``_block_eigs``.  ``score`` maps the ascending eigenvalues, shape
-    (chunk, r), to one value per support.  Ties go to the first support in
-    stream order.  The search stops at the first support scoring at or below
-    ``stop_at``, which is then the one returned.
+    Supports stream as (chunk, r) index arrays of at most ``_CHUNK`` rows
+    (``_support_chunks`` or ``_sampled_supports``); each chunk's eigenvalues
+    come from ``_block_eigs``.  ``score`` maps the ascending eigenvalues,
+    shape (chunk, r), to one value per support.  Ties go to the first
+    support in stream order.  The search stops at the first support scoring
+    at or below ``stop_at``, which is then the one returned.
     """
     best, best_support = np.inf, ()
-    for idx in _support_chunks(supports, r):
+    for idx in chunks:
         values = score(_block_eigs(form, idx))
         hits = np.flatnonzero(values <= stop_at)
         pos = hits[0] if hits.size else np.argmin(values)
@@ -142,24 +146,25 @@ def _checked_level(h, r: int, name: str = "sparsity level r") -> np.ndarray:
 def _min_ssq(h: np.ndarray, r: int, supports, stop_at: float = -np.inf
              ) -> tuple[float, tuple[int, ...]]:
     """Minimum r-SSQ, clamped to [0, 1], over the blocks of Q = H^T (H H^T)^{-1} H
-    at the supports ``supports()`` streams.  It is called before Q is formed,
-    and not at all when r > N: any r columns are then dependent and the first
-    r are returned.  A support scoring at or below ``stop_at`` counts as exactly
-    0 and ends the search."""
+    at the support chunks ``supports()`` streams.  It is called before Q is
+    formed, and not at all when r > N: any r columns are then dependent and
+    the first r are returned.  A support scoring at or below ``stop_at``
+    counts as exactly 0 and ends the search."""
     if r > h.shape[0]:
         return 0.0, tuple(range(r))
     supports = supports()
     q = h.T @ DenseOperator(h).gram_solve(h)
-    best, best_support = _best_support(q, supports, r, lambda eigs: eigs[:, 0], stop_at)
+    best, best_support = _best_support(q, supports, lambda eigs: eigs[:, 0], stop_at)
     if best <= stop_at:
         best = 0.0
     return min(max(best, 0.0), 1.0), best_support
 
 
-def _ric(h: np.ndarray, r: int, supports) -> tuple[float, tuple[int, ...]]:
-    """Largest deviation from 1 of the H_A^T H_A eigenvalues over ``supports``."""
+def _ric(h: np.ndarray, supports) -> tuple[float, tuple[int, ...]]:
+    """Largest deviation from 1 of the H_A^T H_A eigenvalues over the
+    support chunks ``supports``."""
     worst, worst_support = _best_support(
-        h.T @ h, supports, r,
+        h.T @ h, supports,
         lambda eigs: -np.maximum(np.abs(1.0 - eigs[:, 0]), np.abs(eigs[:, -1] - 1.0)))
     return -worst, worst_support
 
@@ -173,14 +178,15 @@ def min_ssq(h, r: int, guard: int = MIN_SSQ_GUARD) -> tuple[float, tuple[int, ..
     support returned is then the lexicographically first singular one.
     """
     h = _checked_level(h, r)
-    return _min_ssq(h, r, lambda: _exact_supports(h.shape[1], r, guard), _ZERO_EIG_TOL)
+    return _min_ssq(h, r, lambda: _support_chunks(_exact_supports(h.shape[1], r, guard), r),
+                    _ZERO_EIG_TOL)
 
 
 def ric(h, r: int, guard: int = MIN_SSQ_GUARD) -> tuple[float, tuple[int, ...]]:
     """Exact restricted isometry constant for sparsity level r, with a
     support attaining the worst deviation of H_A^T H_A eigenvalues from 1."""
     h = _checked_level(h, r)
-    return _ric(h, r, _exact_supports(h.shape[1], r, guard))
+    return _ric(h, _support_chunks(_exact_supports(h.shape[1], r, guard), r))
 
 
 def min_ssq_sampled(h, r: int, n_samples: int = SAMPLED_SUPPORTS, seed: int = 0
@@ -203,7 +209,7 @@ def ric_sampled(h, r: int, n_samples: int = SAMPLED_SUPPORTS, seed: int = 0
     support).  Never feeds certificates.
     """
     h = _checked_level(h, r)
-    return _ric(h, r, _sampled_supports(h.shape[1], r, n_samples, seed))
+    return _ric(h, _sampled_supports(h.shape[1], r, n_samples, seed))
 
 
 def spark(h, guard: int = MIN_SSQ_GUARD) -> int:

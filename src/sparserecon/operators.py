@@ -33,6 +33,11 @@ Concrete kinds:
 * ``ComposedOperator``    -- sampling operator composed with an
                              orthonormal synthesis basis (H = Phi Psi)
 
+``PartialDft2Operator`` transforms only the half spectrum of a real image
+(``rfft2``/``irfft2``), with the measurement rows in the order the full
+complex spectrum gives them; its values lie a few ulps from complex
+``fft2``/``ifft2``.
+
 ``HaarBasis`` is the one 2-D Haar transform, the synthesis basis of the
 composed operator: full depth, in its orthonormal normalization so that
 the composed operator keeps exactly orthonormal rows.
@@ -353,6 +358,15 @@ class PartialDft2Operator(SensingOperator):
     Measurement layout: self-conjugate rows first, then the real parts of
     every pair, then the imaginary parts, each block in lexicographic
     frequency order.
+
+    Both directions work on the half spectrum of a real image, the
+    ``side x (side // 2 + 1)`` columns l <= side // 2 that ``rfft2`` and
+    ``irfft2`` keep.  A pair keyed past them is read at its conjugate, whose
+    imaginary part has the opposite sign.  The adjoint writes the Hermitian
+    part of the embedded coefficients: c at a pair's half-spectrum entry,
+    and also conj(c) at its conjugate when both lie in the half spectrum
+    (columns 0 and side / 2).  The real transforms round a few ulps away
+    from complex ``fft2``/``ifft2`` on the full spectrum.
     """
 
     def __init__(self, mask):
@@ -373,32 +387,53 @@ class PartialDft2Operator(SensingOperator):
         n_rows = self._self.size + 2 * self._pairs.size
         super().__init__(n_rows, side * side, True, "partial-dft2")
         self.side = side
+        # self-conjugate frequencies sit in columns 0 and side / 2, inside
+        # the half spectrum; a pair past it is read at its conjugate
+        conjugates = _conjugate(self._pairs, side)
+        in_half = self._pairs % side <= side // 2
+        self._self_at = _half_index(self._self, side)
+        self._pair_at = _half_index(np.where(in_half, self._pairs, conjugates), side)
+        self._im_scale = np.where(in_half, _SQRT2, -_SQRT2)
+        # pairs in columns 0 and side / 2 have both members in the half spectrum
+        self._mirrored = np.flatnonzero(in_half & (conjugates % side <= side // 2))
+        self._mirror_at = _half_index(conjugates[self._mirrored], side)
         if not _probe_rows_orthonormal(self):
             raise InputError("partial DFT mask failed orthonormality check")
 
     def apply(self, v) -> np.ndarray:
         v = _as_vector(v, self.n_cols, "v")
-        spectrum = (np.fft.fft2(v.reshape(self.side, self.side)) / self.side).ravel()
-        z = spectrum[self._pairs]
-        return np.concatenate(
-            [spectrum[self._self].real, _SQRT2 * z.real, _SQRT2 * z.imag]
-        )
+        spectrum = np.fft.rfft2(v.reshape(self.side, self.side)).ravel()
+        z = spectrum[self._pair_at] / self.side
+        return np.concatenate([
+            spectrum[self._self_at].real / self.side,
+            _SQRT2 * z.real,
+            self._im_scale * z.imag,
+        ])
 
     def apply_adjoint(self, w) -> np.ndarray:
         w = _as_vector(w, self.n_rows, "w")
         n_self, n_pairs = self._self.size, self._pairs.size
         re, im = w[n_self:n_self + n_pairs], w[n_self + n_pairs:]
-        coeffs = np.zeros(self.n_cols, dtype=complex)
-        coeffs[self._self] = w[:n_self]
-        coeffs[self._pairs] = _SQRT2 * (re + 1j * im)
-        image = np.fft.ifft2(coeffs.reshape(self.side, self.side))
-        return (self.side * image.real).ravel()
+        half = np.zeros(self.side * (self.side // 2 + 1), dtype=complex)
+        half[self._self_at] = w[:n_self]
+        c = (_SQRT2 * re + 1j * (self._im_scale * im)) / 2
+        half[self._pair_at] = c
+        half[self._mirror_at] = c[self._mirrored].conj()
+        image = np.fft.irfft2(half.reshape(self.side, -1), s=(self.side, self.side))
+        return (self.side * image).ravel()
 
 
 def _conjugate(flat: np.ndarray, side: int) -> np.ndarray:
     """Flat index of the conjugate frequency (-k mod side, -l mod side)."""
     k, l = np.divmod(flat, side)
     return (-k % side) * side + (-l % side)
+
+
+def _half_index(flat: np.ndarray, side: int) -> np.ndarray:
+    """Flat index in the side x (side // 2 + 1) half spectrum of a frequency
+    with l <= side // 2."""
+    k, l = np.divmod(flat, side)
+    return k * (side // 2 + 1) + l
 
 
 class ComposedOperator(SensingOperator):

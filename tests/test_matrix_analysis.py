@@ -329,12 +329,13 @@ def test_sampled_modes_bound_exact_values():
 @pytest.mark.parametrize("m, r, n_samples", [
     (13, 3, 200), (120, 5, 2 * matrix_analysis._CHUNK + 7), (6, 6, 3), (9, 1, 50)])
 def test_sampled_supports_are_valid(m, r, n_samples):
-    supports = np.array(list(matrix_analysis._sampled_supports(m, r, n_samples, 4)))
+    blocks = list(matrix_analysis._sampled_supports(m, r, n_samples, 4))
+    supports = np.concatenate(blocks)
     assert supports.shape == (n_samples, r)
     assert ((supports >= 0) & (supports < m)).all()
     assert (np.diff(supports, axis=1) > 0).all()  # sorted and distinct
     # one seed, one stream
-    again = list(matrix_analysis._sampled_supports(m, r, n_samples, 4))
+    again = np.concatenate(list(matrix_analysis._sampled_supports(m, r, n_samples, 4)))
     assert np.array_equal(supports, again)
 
 
@@ -629,7 +630,8 @@ def test_kernel_tie_and_stop_rules(monkeypatch):
 
     def best(diagonal, stop_at=-np.inf):
         return matrix_analysis._best_support(
-            np.diag(diagonal), combinations(range(len(diagonal)), 1), 1,
+            np.diag(diagonal),
+            matrix_analysis._support_chunks(combinations(range(len(diagonal)), 1), 1),
             lambda eigs: eigs[:, 0], stop_at)
 
     assert best([0.3, 0.2, 0.5, 0.2, 0.2, 0.9]) == (0.2, (1,))
@@ -673,7 +675,8 @@ def _reference_min_ssq(h, r, guard=MIN_SSQ_GUARD):
         return 0.0, tuple(range(r))
     _reference_check_guard(m, r, guard)
     best, best_support = matrix_analysis._best_support(
-        _reference_projection_form(h), combinations(range(m), r), r,
+        _reference_projection_form(h),
+        matrix_analysis._support_chunks(combinations(range(m), r), r),
         _reference_smallest_eig, matrix_analysis._ZERO_EIG_TOL)
     if best <= matrix_analysis._ZERO_EIG_TOL:
         best = 0.0
@@ -687,7 +690,8 @@ def _reference_ric(h, r, guard=MIN_SSQ_GUARD):
         raise InputError(f"sparsity level r={r} outside [1, {m}]")
     _reference_check_guard(m, r, guard)
     worst, worst_support = matrix_analysis._best_support(
-        h.T @ h, combinations(range(m), r), r, _reference_negative_isometry_deviation)
+        h.T @ h, matrix_analysis._support_chunks(combinations(range(m), r), r),
+        _reference_negative_isometry_deviation)
     return -worst, worst_support
 
 
@@ -700,7 +704,7 @@ def _reference_min_ssq_sampled(h, r, n_samples=matrix_analysis.SAMPLED_SUPPORTS,
     if r > n:
         return 0.0, tuple(range(r))
     best, best_support = matrix_analysis._best_support(
-        _reference_projection_form(h), supports, r, _reference_smallest_eig)
+        _reference_projection_form(h), supports, _reference_smallest_eig)
     return min(max(best, 0.0), 1.0), best_support
 
 
@@ -710,7 +714,7 @@ def _reference_ric_sampled(h, r, n_samples=matrix_analysis.SAMPLED_SUPPORTS, see
     if not 1 <= r <= m:
         raise InputError(f"sparsity level r={r} outside [1, {m}]")
     worst, worst_support = matrix_analysis._best_support(
-        h.T @ h, matrix_analysis._sampled_supports(m, r, n_samples, seed), r,
+        h.T @ h, matrix_analysis._sampled_supports(m, r, n_samples, seed),
         _reference_negative_isometry_deviation)
     return -worst, worst_support
 

@@ -467,6 +467,76 @@ def test_dft2_pairing_matches_oracle_and_is_adjoint(side, density, seed):
     assert np.abs(op.apply(op.apply_adjoint(w)) - w).max() <= 1e-10
 
 
+def _complex_dft2(mask, v, w):
+    """H v and H^T w by the definition on the full complex spectrum: the
+    unitary fft2 read at the lexicographic keys, and side * Re(ifft2) of
+    the embedded coefficients written at the same keys."""
+    side = mask.shape[0]
+    self_conj, pairs = _oracle_dft2_pairing(mask)
+    n_self, n_pairs = len(self_conj), len(pairs)
+    spectrum = np.fft.fft2(v.reshape(side, side)).ravel() / side
+    forward = np.concatenate([spectrum[self_conj].real, math.sqrt(2) * spectrum[pairs].real,
+                              math.sqrt(2) * spectrum[pairs].imag])
+    coeffs = np.zeros(side * side, dtype=complex)
+    coeffs[self_conj] = w[:n_self]
+    coeffs[pairs] = math.sqrt(2) * (w[n_self:n_self + n_pairs] + 1j * w[n_self + n_pairs:])
+    backward = side * np.fft.ifft2(coeffs.reshape(side, side)).real.ravel()
+    return forward, backward
+
+
+def _assert_dft2_matches_complex(mask, seed):
+    op = PartialDft2Operator(mask)
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(op.n_cols)
+    w = rng.standard_normal(op.n_rows)
+    forward, backward = _complex_dft2(mask, v, w)
+    assert np.abs(op.apply(v) - forward).max() <= 1e-13 * np.linalg.norm(v)
+    assert np.abs(op.apply_adjoint(w) - backward).max() <= 1e-13 * np.linalg.norm(w)
+
+
+@settings(max_examples=120, deadline=None)
+@given(side=st.integers(1, 33), density=st.floats(0.0, 1.0), edge_columns_only=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_dft2_values_match_complex_definition(side, density, edge_columns_only, seed):
+    """The half-spectrum transforms give the values of the complex ones.
+
+    Orthonormality and adjointness hold also with a wrong Im sign or a
+    dropped conjugate in columns 0 and side / 2, so the values are compared."""
+    rng = np.random.default_rng(seed)
+    mask = rng.random((side, side)) < density
+    if edge_columns_only:  # keep column 0, and column side / 2 on even sides
+        mask[:, np.setdiff1d(np.arange(side), [0, side // 2] if side % 2 == 0 else [0])] = False
+    mask[rng.integers(side), 0] = True
+    _assert_dft2_matches_complex(mask, seed)
+
+
+def _mask(side, *frequencies):
+    mask = np.zeros((side, side), dtype=bool)
+    for k, l in frequencies:
+        mask[k, l] = True
+    return mask
+
+
+@pytest.mark.parametrize("mask", [
+    _mask(1, (0, 0)),
+    np.ones((2, 2), dtype=bool),
+    _mask(2, (0, 1)),
+    _mask(2, (1, 0), (1, 1)),
+    _mask(4, (1, 0)),              # pair in column 0
+    _mask(4, (3, 0)),              # its conjugate selects it
+    _mask(4, (1, 2)),              # pair in column side / 2
+    _mask(4, (3, 2), (2, 2)),      # its conjugate, and a self-conjugate frequency
+    _mask(4, (1, 3)),              # key past the half spectrum
+    _mask(6, *((k, l) for k in range(6) for l in (0, 3))),
+    _mask(3, (1, 0)),
+    _mask(3, (2, 0), (1, 1)),
+    _mask(5, (2, 0), (4, 0), (1, 2), (3, 3)),
+    _mask(7, *((k, 0) for k in range(7))),
+], ids=lambda mask: f"side{mask.shape[0]}-" + "".join(
+    f"{k}{l}" for k, l in np.argwhere(mask)))
+def test_dft2_edge_columns_match_complex_definition(mask):
+    _assert_dft2_matches_complex(mask, 17)
+
 
 def test_dft2_full_mask_invertible():
     op = PartialDft2Operator(np.ones((4, 4), dtype=bool))
