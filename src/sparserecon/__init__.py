@@ -44,7 +44,6 @@ from .model_selection import (
     UssEvaluation,
     UssScorer,
     adore_run,
-    exact_ml_bruteforce,
     golden_section_r_search,
 )
 from .matrix_analysis import (
@@ -54,6 +53,7 @@ from .matrix_analysis import (
     SparsityMeasures,
     certify,
     coherence,
+    exact_ml_bruteforce,
     min_ssq,
     min_ssq_sampled,
     ric,
@@ -86,9 +86,9 @@ __all__ = [
     "ecme_step", "empirical_bayes_estimate", "hard_threshold", "iht_run",
     "minimum_norm_estimate", "sigma2_hat", "support", "weighted_error",
     "dore_run", "dore_weight", "AdoreResult", "UssEvaluation",
-    "UssScorer", "adore_run", "exact_ml_bruteforce", "golden_section_r_search",
-    "FixedPointReport", "MatrixCertificate", "RecoveryFlags",
-    "SparsityMeasures", "certify", "coherence", "min_ssq", "min_ssq_sampled",
+    "UssScorer", "adore_run", "golden_section_r_search",
+    "FixedPointReport", "MatrixCertificate", "RecoveryFlags", "SparsityMeasures",
+    "certify", "coherence", "exact_ml_bruteforce", "min_ssq", "min_ssq_sampled",
     "ric", "ric_sampled", "spark", "ssq", "urp", "verify_fixed_point",
     "BenchConfig", "ExperimentReport", "ProblemInstance", "benchmark_sweep",
     "parse_bench_config", "phantom", "phantom_problem", "psnr", "radial_mask",

@@ -13,15 +13,15 @@ restricted isometry constant is computed the same way from H^T H.
 
 Q = H^T (H H^T)^{-1} H is formed from ``DenseOperator.gram_solve``, the
 library's one gram weighting; for rows that operator detects as orthonormal
-(max |H H^T - I| <= 1e-10) it is H^T H exactly.  One private eigen kernel
-serves all five searches (exact and sampled min-SSQ and RIC, and the spark
-screen): on an m x m form, Q or G = H^T H, formed once, it gathers the
-r x r principal blocks of a chunk of ``_CHUNK`` supports into one stacked
-array and takes their eigenvalues in one ``eigvalsh`` call, so memory
-beyond the form is bounded per chunk.  The spark search screens column
-subsets S by lambda_min(G_S) = sigma_min(H_S)^2, with a margin for the
-rounding of G and ``eigvalsh``, and runs its pivoted-QR rank test only on
-the subsets the screen cannot clear, so it returns what that test alone
+(max |H H^T - I| <= 1e-10) it is H^T H exactly.  Six searches share one
+gather, ``_blocks``, of the r x r principal blocks at a chunk of ``_CHUNK``
+supports from an m x m form formed once, Q or G = H^T H, so memory beyond
+the form is bounded per chunk: the measures and the spark screen take their
+eigenvalues in one ``eigvalsh`` call, and the brute-force ML oracle
+``exact_ml_bruteforce`` solves them in one call.  The spark search screens
+column subsets S by lambda_min(G_S) = sigma_min(H_S)^2, with a margin for
+the rounding of G and ``eigvalsh``, and runs its pivoted-QR rank test only
+on the subsets the screen cannot clear, so it returns what that test alone
 would.
 
 Each measure has one body, ``_min_ssq`` or ``_ric``, over a stream of
@@ -50,9 +50,10 @@ import scipy.linalg
 
 from .errors import InputError, SizeGuardError, _count
 from .operators import DenseOperator, SensingOperator, _as_matrix, _finite_vector
-from .recon import _as_measurements
+from .recon import ParamEstimate, _as_measurements, sigma2_hat
 
 MIN_SSQ_GUARD = 10_000_000
+BRUTE_FORCE_GUARD = 1_000_000
 SAMPLED_SUPPORTS = 10_000
 _ZERO_EIG_TOL = 1e-14
 # supports per stacked eigenvalue call; bounds the (chunk, r, r) work arrays
@@ -106,11 +107,10 @@ def _sampled_supports(m: int, r: int, n_samples: int, seed: int):
     return draws()
 
 
-def _block_eigs(form: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues, shape (chunk, r), of the principal blocks of an
-    m x m form at the (chunk, r) supports ``idx``, from one stacked call."""
+def _blocks(form: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The (chunk, r, r) principal blocks of an m x m form at supports ``idx``."""
     m = form.shape[0]
-    return np.linalg.eigvalsh(form.ravel()[idx[:, :, None] * m + idx[:, None, :]])
+    return form.ravel()[idx[:, :, None] * m + idx[:, None, :]]
 
 
 def _best_support(form: np.ndarray, chunks, score,
@@ -118,15 +118,15 @@ def _best_support(form: np.ndarray, chunks, score,
     """Minimise ``score`` over the r x r principal blocks of an m x m form.
 
     Supports stream as (chunk, r) index arrays of at most ``_CHUNK`` rows
-    (``_support_chunks`` or ``_sampled_supports``); each chunk's eigenvalues
-    come from ``_block_eigs``.  ``score`` maps the ascending eigenvalues,
-    shape (chunk, r), to one value per support.  Ties go to the first
-    support in stream order.  The search stops at the first support scoring
-    at or below ``stop_at``, which is then the one returned.
+    (``_support_chunks`` or ``_sampled_supports``); ``score`` maps the
+    ascending eigenvalues of a chunk's ``_blocks``, shape (chunk, r), from
+    one stacked ``eigvalsh``, to one value per support.  Ties go to the
+    first support in stream order.  The search stops at the first support
+    scoring at or below ``stop_at``, which is then the one returned.
     """
     best, best_support = np.inf, ()
     for idx in chunks:
-        values = score(_block_eigs(form, idx))
+        values = score(np.linalg.eigvalsh(_blocks(form, idx)))
         hits = np.flatnonzero(values <= stop_at)
         pos = hits[0] if hits.size else np.argmin(values)
         if values[pos] < best:
@@ -212,6 +212,53 @@ def ric_sampled(h, r: int, n_samples: int = SAMPLED_SUPPORTS, seed: int = 0
     return _ric(h, _sampled_supports(h.shape[1], r, n_samples, seed))
 
 
+def _solve_or_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a^{-1} b, or the least-squares solution when a is exactly singular."""
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(a, b, rcond=None)[0]
+
+
+def exact_ml_bruteforce(op, y, r: int, guard: int = BRUTE_FORCE_GUARD) -> ParamEstimate:
+    """Exact maximum-likelihood fit at level r by support enumeration.
+
+    Each size-r support A is fit by Q_AA x = w_A (Q the min-SSQ form,
+    w = H^T (H H^T)^{-1} y), solved a chunk per stacked call, or block by
+    block with least squares for an exactly singular block, and scored by
+    the residual variance (y - H_A x)^T (H H^T)^{-1} (y - H_A x) / N.  The
+    lowest score wins (equal scores: the first support), and ``sigma2_hat``
+    gives its variance.  For tiny instances: refuses when C(m, r) > guard.
+    """
+    matrix = _as_matrix(op)
+    dense = op if isinstance(op, DenseOperator) else DenseOperator(matrix)
+    n, m = matrix.shape
+    y = _as_measurements(dense, y)
+    r = _count(r, "sparsity level r", 0, m)
+    if math.comb(m, r) > _count(guard, "guard", 1):
+        raise SizeGuardError(f"C({m},{r})={math.comb(m, r)} supports exceed the "
+                             f"brute-force guard of {guard}")
+    weighted_y = dense.gram_solve(y)
+    if r == 0:
+        return ParamEstimate(np.zeros(m), float(y @ weighted_y) / n, 0)
+    q, w = matrix.T @ dense.gram_solve(matrix), matrix.T @ weighted_y
+    best_error, best_support, best_coeffs = np.inf, None, None
+    for idx in _support_chunks(combinations(range(m), r), r):
+        blocks, rhs = _blocks(q, idx), w[idx]
+        try:
+            coeffs = np.linalg.solve(blocks, rhs[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            coeffs = np.array([_solve_or_lstsq(a, b) for a, b in zip(blocks, rhs)])
+        residuals = y - np.einsum("nck,ck->cn", matrix[:, idx], coeffs)
+        error = np.einsum("cn,nc->c", residuals, dense.gram_solve(residuals.T))
+        pos = np.argmin(error)
+        if error[pos] < best_error:
+            best_error, best_support, best_coeffs = error[pos], idx[pos], coeffs[pos]
+    s = np.zeros(m)
+    s[best_support] = best_coeffs
+    return ParamEstimate(s, sigma2_hat(dense, y, s), r)
+
+
 def spark(h, guard: int = MIN_SSQ_GUARD) -> int:
     """Smallest number of linearly dependent columns (N+1 if none by size N).
 
@@ -241,7 +288,7 @@ def spark(h, guard: int = MIN_SSQ_GUARD) -> int:
         # (n k / 2 + 3 n k) eps ||H||^2 < 4 n k eps ||H||^2 of sigma_min(H_S)^2.
         screen = (2.0 * tol) ** 2 + 4.0 * n * k * np.finfo(float).eps * norm ** 2
         for idx in _support_chunks(combinations(range(m), k), k):
-            for subset in idx[_block_eigs(gram, idx)[:, 0] <= screen]:
+            for subset in idx[np.linalg.eigvalsh(_blocks(gram, idx))[:, 0] <= screen]:
                 r_factor = scipy.linalg.qr(h[:, subset], mode="r", pivoting=True)[0]
                 if np.count_nonzero(np.abs(np.diag(r_factor)) > tol) < k:
                     return k

@@ -12,30 +12,27 @@ variance hits zero the score diverges to +infinity with growth rate
 (N - r - 2) / 2; scores are therefore ordered by (value, N - r - 2), which
 among infinite or equal scores prefers the smallest r.
 
-``exact_ml_bruteforce`` enumerates supports to produce the exact
-maximum-likelihood variance for tiny instances; it doubles as the oracle
-for validating the selection rule.  ``adore_run`` replaces the intractable
-exact variance with the accelerated solver's estimate and drives an
-integer golden-section search over r in [0, ceil(N/2)].  The search owns
-its edge cases (resolution clamp, r_max = 1), so every N takes one path,
-and one table of probes, r -> (score, reconstruction, start), builds the
-result.  Each solver run is warm-started from the table: it begins at the
-estimate of the nearest level probed so far (ties to the smaller level),
-thresholded to r nonzeros if it has more, and from zero when that level is
-r = 0 or nothing has been probed yet.
+``adore_run`` replaces the intractable exact variance with the
+accelerated solver's estimate and drives an integer golden-section search
+over r in [0, ceil(N/2)].  The search owns its edge cases (resolution
+clamp, r_max = 1), so every N takes one path, and one table of probes,
+r -> (score, reconstruction, start), builds the result.  Each solver run
+is warm-started from the table: it begins at the estimate of the nearest
+level probed so far (ties to the smaller level), thresholded to r nonzeros
+if it has more, and from zero when that level is r = 0 or nothing has been
+probed yet.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from .dore import dore_run
-from .errors import InputError, SizeGuardError, _count
-from .operators import DenseOperator, SensingOperator, _as_matrix
+from .errors import InputError, _count
+from .operators import SensingOperator
 from .recon import (
     ParamEstimate,
     ReconstructionResult,
@@ -43,7 +40,6 @@ from .recon import (
     _as_measurements,
 )
 
-BRUTE_FORCE_GUARD = 1_000_000
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # 0.618...
 ZERO_VARIANCE_REL = 1e-12
 
@@ -97,49 +93,6 @@ class UssScorer:
             )
         return UssEvaluation(r=r, sigma2_est=float(sigma2_est),
                              uss_value=value, growth_rate=growth)
-
-
-def exact_ml_bruteforce(op, y, r: int, guard: int = BRUTE_FORCE_GUARD) -> ParamEstimate:
-    """Exact maximum-likelihood fit at level r by support enumeration.
-
-    Solves the gram-weighted least squares on every size-r support and
-    returns the parameter pair with the globally smallest variance.
-    Intended for tiny instances; refuses when C(m, r) exceeds the guard.
-    """
-    matrix = _as_matrix(op)
-    dense = op if isinstance(op, DenseOperator) else DenseOperator(matrix)
-    n, m = matrix.shape
-    y = _as_measurements(dense, y)
-    r = _count(r, "sparsity level r", 0, m)
-    if math.comb(m, r) > _count(guard, "guard", 1):
-        raise SizeGuardError(
-            f"C({m},{r})={math.comb(m, r)} supports exceed the brute-force "
-            f"guard of {guard}"
-        )
-    weighted_y = dense.gram_solve(y)
-    base = float(y @ weighted_y)
-    if r == 0:
-        return ParamEstimate(np.zeros(m), base / n, 0)
-    weighted_h = dense.gram_solve(matrix)
-    best_error = math.inf
-    best_support: tuple[int, ...] = ()
-    best_coeffs = None
-    for support_set in combinations(range(m), r):
-        idx = list(support_set)
-        normal = matrix[:, idx].T @ weighted_h[:, idx]
-        rhs = matrix[:, idx].T @ weighted_y
-        try:
-            coeffs = np.linalg.solve(normal, rhs)
-        except np.linalg.LinAlgError:
-            coeffs = np.linalg.lstsq(normal, rhs, rcond=None)[0]
-        error = base - float(rhs @ coeffs)
-        if error < best_error:
-            best_error = error
-            best_support = support_set
-            best_coeffs = coeffs
-    s = np.zeros(m)
-    s[list(best_support)] = best_coeffs
-    return ParamEstimate(s, max(best_error, 0.0) / n, r)
 
 
 def golden_section_r_search(evaluator, r_max: int, resolution: int = 1) -> int:

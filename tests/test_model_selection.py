@@ -2,10 +2,11 @@
 
 import math
 import time
+from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from sparserecon import (
     DenseOperator,
@@ -19,10 +20,16 @@ from sparserecon import (
     exact_ml_bruteforce,
     golden_section_r_search,
     hard_threshold,
+    partial_dct_matrix,
+    sigma2_hat,
     StoppingRule,
 )
 from sparserecon import model_selection
+from sparserecon.errors import _count
+from sparserecon.matrix_analysis import BRUTE_FORCE_GUARD
 from sparserecon.model_selection import GOLDEN
+from sparserecon.operators import _as_matrix
+from sparserecon.recon import _as_measurements
 
 
 def _planted(rng, n, m, r_true, noise=0.0):
@@ -182,6 +189,129 @@ def test_bruteforce_guard():
     op = DenseOperator(rng.standard_normal((10, 40)))
     with pytest.raises(SizeGuardError):
         exact_ml_bruteforce(op, rng.standard_normal(10), 12)
+
+
+def _reference_exact_ml_bruteforce(op, y, r: int, guard: int = BRUTE_FORCE_GUARD):
+    """The earlier ``exact_ml_bruteforce``, kept as an oracle: one normal
+    solve per support, scored by base - fit."""
+    matrix = _as_matrix(op)
+    dense = op if isinstance(op, DenseOperator) else DenseOperator(matrix)
+    n, m = matrix.shape
+    y = _as_measurements(dense, y)
+    r = _count(r, "sparsity level r", 0, m)
+    if math.comb(m, r) > _count(guard, "guard", 1):
+        raise SizeGuardError(
+            f"C({m},{r})={math.comb(m, r)} supports exceed the brute-force "
+            f"guard of {guard}"
+        )
+    weighted_y = dense.gram_solve(y)
+    base = float(y @ weighted_y)
+    if r == 0:
+        return ParamEstimate(np.zeros(m), base / n, 0)
+    weighted_h = dense.gram_solve(matrix)
+    best_error = math.inf
+    best_support: tuple[int, ...] = ()
+    best_coeffs = None
+    for support_set in combinations(range(m), r):
+        idx = list(support_set)
+        normal = matrix[:, idx].T @ weighted_h[:, idx]
+        rhs = matrix[:, idx].T @ weighted_y
+        try:
+            coeffs = np.linalg.solve(normal, rhs)
+        except np.linalg.LinAlgError:
+            coeffs = np.linalg.lstsq(normal, rhs, rcond=None)[0]
+        error = base - float(rhs @ coeffs)
+        if error < best_error:
+            best_error = error
+            best_support = support_set
+            best_coeffs = coeffs
+    s = np.zeros(m)
+    s[list(best_support)] = best_coeffs
+    return ParamEstimate(s, max(best_error, 0.0) / n, r)
+
+
+def _assert_matches_reference(op, y, r, same_support=True):
+    """``exact_ml_bruteforce`` at level r against the kept loop.
+
+    The loop scores by base - fit, which cancels to about 1e-13 b, and a
+    rounded fit on a numerically singular block can exceed base, which it
+    reports as sigma2 = 0; so its estimate is rescored by the residual
+    formula.  Exact fits (at most 1e-12 b) must stay exact; a nonzero
+    optimum must match within 1e-9, on the same support where no two
+    supports can tie, unless the loop's own score of its pick is what let
+    it miss the better fit found here.
+    """
+    got = exact_ml_bruteforce(op, y, r)
+    want = _reference_exact_ml_bruteforce(op, y, r)
+    b = UssScorer(op, y).baseline
+    want_sigma2 = sigma2_hat(op, y, want.s)
+    if want_sigma2 <= 1e-12 * b:
+        assert got.sigma2 <= 1e-12 * b
+    elif got.sigma2 < want_sigma2 * (1 - 1e-9):
+        assert want.sigma2 <= got.sigma2 + 1e-13 * b
+    else:
+        assert got.sigma2 <= want_sigma2 * (1 + 1e-9)
+        if same_support:
+            assert np.array_equal(np.flatnonzero(got.s), np.flatnonzero(want.s))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["gaussian", "dct"]), m=st.integers(4, 12), data=st.data(),
+       seed=st.integers(0, 2**32 - 1), planted=st.booleans())
+def test_bruteforce_matches_reference_loop(kind, m, data, seed, planted):
+    """Every level r in [0, N].  A planted y fits exactly from its sparsity
+    up; DCT columns j and m-1-j are equal or opposite on rows of one
+    parity, so their supports can tie and only the variance is compared."""
+    n = data.draw(st.integers(1, m), label="n")
+    rng = np.random.default_rng(seed)
+    if kind == "gaussian":
+        h = rng.standard_normal((n, m))
+    else:
+        h = partial_dct_matrix(m, np.sort(rng.choice(m, size=n, replace=False)))
+    op = DenseOperator(h)
+    if planted:
+        k = max(n - 1, 1)
+        truth = np.zeros(m)
+        truth[rng.choice(m, size=k, replace=False)] = rng.standard_normal(k)
+        y = op.apply(truth)
+    else:
+        y = rng.standard_normal(n)
+    assume(np.any(y))  # a DCT entry can vanish, and USS needs y != 0
+    for r in range(n + 1):
+        _assert_matches_reference(op, y, r, same_support=kind == "gaussian")
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 5])
+def test_bruteforce_singular_blocks(r):
+    """Column 3 repeats column 1 and column 6 is zero, so every chunk holds
+    an exactly singular block, which is solved by least squares."""
+    rng = np.random.default_rng(41)
+    h = rng.standard_normal((5, 8))
+    h[:, 3] = h[:, 1]
+    h[:, 6] = 0.0
+    op = DenseOperator(h)
+    y = rng.standard_normal(5)
+    _assert_matches_reference(op, y, r, same_support=False)
+
+
+def test_bruteforce_dependent_columns_do_not_win_by_rounding():
+    """Some column sets of this 6 x 9 partial DCT are dependent, yet their
+    blocks of Q round to invertible ones, whose fits of y can round above
+    y^T (H H^T)^{-1} y.  The variance returned is that of the estimate
+    returned, and at most the least-squares optimum over every support
+    (the rows are orthonormal, so plain least squares is the weighted one)."""
+    op = DenseOperator(partial_dct_matrix(9, [1, 2, 4, 5, 7, 8]))
+    y = np.array([0.59, -0.56, 0.63, 0.44, -0.77, 0.53])
+    b = UssScorer(op, y).baseline
+    for r in range(1, 7):
+        est = exact_ml_bruteforce(op, y, r)
+        assert est.sigma2 == sigma2_hat(op, y, est.s)
+        optimum = math.inf
+        for support in combinations(range(9), r):
+            s = np.zeros(9)
+            s[list(support)] = np.linalg.lstsq(op.matrix[:, support], y, rcond=None)[0]
+            optimum = min(optimum, sigma2_hat(op, y, s))
+        assert est.sigma2 <= optimum * (1 + 1e-9) + 1e-12 * b
 
 
 # --------------------------------------------------------------- golden search
