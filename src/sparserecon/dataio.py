@@ -2,34 +2,47 @@
 
 Matrices and vectors travel as headerless comma-separated values with '.'
 as the decimal mark (row-major for matrices, one value per line for
-vectors).  Results serialize to JSON through the ``to_json_dict``
-methods on the result dataclasses; a non-finite float, such as the
-+inf USS score of an exact fit, is written as the string "inf", "-inf"
-or "nan".  Read and write failures raise ``InputError``.
+vectors), in UTF-8 text; a file named ``*.gz``, ``*.bz2``, ``*.xz`` or
+``*.lzma`` is decompressed first.  Results serialize to JSON through the
+``to_json_dict`` methods on the result dataclasses; a non-finite float,
+such as the +inf USS score of an exact fit, is written as the string
+"inf", "-inf" or "nan".  Read and write failures raise ``InputError``.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 import math
+import os
 import warnings
 
 import numpy as np
 
 from .errors import InputError
 
+# The compressed suffixes numpy's loader decodes when given a path, and the
+# module whose ``open`` reads each.
+_DECOMPRESSORS = {".gz": "gzip", ".bz2": "bz2", ".xz": "lzma", ".lzma": "lzma"}
+
 
 def _load_csv(path, what: str, **kwargs) -> np.ndarray:
     """``np.loadtxt`` of a comma-separated file, read errors as InputError.
 
-    An empty file loads as an empty array without numpy's "no data"
-    warning; the caller's shape checks report it as one clean error.
+    The file is opened here, decompressed by its suffix as numpy would, and
+    ``np.loadtxt`` reads the handle, which skips numpy's per-path
+    ``DataSource`` layer.  An empty file loads as an empty array without
+    numpy's "no data" warning; the caller's shape checks report it as one
+    clean error.
     """
+    module = _DECOMPRESSORS.get(os.path.splitext(os.fspath(path))[1])
+    opener = open if module is None else importlib.import_module(module).open
     try:
-        with warnings.catch_warnings():
+        with opener(path, "rt", encoding="utf-8") as handle, \
+                warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data",
                                     UserWarning)
-            return np.loadtxt(path, delimiter=",", dtype=float, **kwargs)
+            return np.loadtxt(handle, delimiter=",", dtype=float, **kwargs)
     except (OSError, ValueError) as exc:
         raise InputError(f"could not read {what} CSV {path}: {exc}") from exc
 

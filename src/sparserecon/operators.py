@@ -3,12 +3,15 @@
 Every operator exposes the same surface: ``apply`` (H v), ``apply_adjoint``
 (H^T w) and ``gram_solve`` (solve (H H^T) x = b).  A "proper" operator is
 N x m with N <= m and full row rank, so H H^T is symmetric positive
-definite and the gram system is solvable.  ``gram_solve`` takes a
-length-N vector or an N x k block of columns on every kind; that one shape
-contract is checked in ``SensingOperator``.  When the rows of H are
-orthonormal (H H^T = I), ``gram_solve`` is the identity map and returns
-its argument unchanged; downstream iterations then take the cheap path
-with no extra arithmetic.
+definite and the gram system is solvable.  Each of the three methods takes
+a vector or a block of k columns: ``apply`` a length-m vector or an m x k
+block, ``apply_adjoint`` and ``gram_solve`` a length-N vector or an N x k
+block.  That one shape rule is checked in ``SensingOperator``, which also
+serves the block of a kind with no block path of its own one column at a
+time, so column j of a block result is the vector result of column j.
+When the rows of H are orthonormal (H H^T = I), ``gram_solve`` is the
+identity map and returns its argument unchanged; downstream iterations
+then take the cheap path with no extra arithmetic.
 
 ``DenseOperator`` is the one owner of H H^T: it alone forms and factors
 it, and every gram-weighted computation in the library (the solvers, the
@@ -18,10 +21,13 @@ is one LAPACK ``dpotrs`` call on it, with no per-call copy or finiteness
 scan.
 
 ``DenseOperator.apply`` reads only the columns of H that meet a nonzero of
-v when H has at least 100,000 entries and v at most m/32 nonzeros: every
-point the thresholding solvers image is r-sparse.  Otherwise it reads the
-whole matrix.  The gathered sum adds the same products as the full one in
-another order, so the two agree to rounding, not bit for bit.
+v when H has at least 100,000 entries and v at most m/32 nonzeros, or a
+block at most m/4 nonzero rows.  Otherwise it reads the whole matrix.  The
+gathered sum adds the same products as the full one in another order, so
+the two agree to rounding, not bit for bit; a block of unit columns e_j
+gives the columns H[:, j] exactly on both paths.  The dense block products
+round differently from the column-by-column ones, within a few ulps of
+|H| |V|.
 
 Concrete kinds:
 
@@ -46,7 +52,6 @@ the composed operator keeps exactly orthonormal rows.
 from __future__ import annotations
 
 import math
-from abc import ABC, abstractmethod
 
 import numpy as np
 import scipy.fft
@@ -61,9 +66,14 @@ _ORTHO_TOL = 1e-10
 # only points where the gather was at least 10% faster.  Below 100,000
 # entries its fixed cost (the nonzero scan and the column copy) eats the
 # saving; at 200 x 500 it stops winning by 10% past m/32 nonzeros, and at
-# 800 x 2000 it stops winning at all near m/16.
+# 800 x 2000 it stops winning at all near m/16.  A block of k columns
+# shares one gather among k products: on the same host a block of unit
+# columns gathered was faster than the full product up to m/4 nonzero rows
+# at 200 x 500 (604 against 754 us) and 800 x 2000 (15 against 29 ms), and
+# slower at m/2 on 200 x 500.
 _GATHER_MIN_ENTRIES = 100_000
 _GATHER_NNZ_DIVISOR = 32
+_GATHER_BLOCK_DIVISOR = 4
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -96,7 +106,7 @@ def _finite_matrix(matrix) -> np.ndarray:
     return matrix
 
 
-class SensingOperator(ABC):
+class SensingOperator:
     """Abstract N x m sensing operator with gram-system support.
 
     Operators are immutable after construction and safe to share across
@@ -114,13 +124,15 @@ class SensingOperator(ABC):
         self.rows_orthonormal = rows_orthonormal
         self.kind = kind
 
-    @abstractmethod
     def apply(self, v) -> np.ndarray:
-        """Return H v for a length-m vector v."""
+        """Return H v for a length-m vector v, or H V for an m x k block V."""
+        v = _operand(v, self.n_cols, "apply")
+        return self._apply_vector(v) if v.ndim == 1 else self._apply_block(v)
 
-    @abstractmethod
     def apply_adjoint(self, w) -> np.ndarray:
-        """Return H^T w for a length-N vector w."""
+        """Return H^T w for a length-N vector w, or H^T W for an N x k block W."""
+        w = _operand(w, self.n_rows, "apply_adjoint")
+        return self._adjoint_vector(w) if w.ndim == 1 else self._adjoint_block(w)
 
     def gram_solve(self, b) -> np.ndarray:
         """Return x with (H H^T) x = b, for a length-N vector or an N x k block.
@@ -131,13 +143,25 @@ class SensingOperator(ABC):
         finiteness (the row-orthonormal kinds never did); the library
         entries validate y at the boundary.
         """
-        b = np.asarray(b, dtype=float)
-        if b.ndim not in (1, 2) or b.shape[0] != self.n_rows:
-            raise InputError(
-                f"gram_solve expects a length-{self.n_rows} vector or an "
-                f"{self.n_rows} x k block, got shape {b.shape}"
-            )
+        b = _operand(b, self.n_rows, "gram_solve")
         return b if self.rows_orthonormal else self._gram_solve(b)
+
+    # Each kind implements the two vector hooks; a kind with a block path
+    # of its own overrides the block hooks too.  Every hook gets an
+    # operand already checked by the shape rule.  None is abstract: a
+    # delegating wrapper overrides the three public methods instead.
+
+    def _apply_vector(self, v: np.ndarray) -> np.ndarray:
+        raise NotImplementedError  # pragma: no cover - every kind overrides
+
+    def _adjoint_vector(self, w: np.ndarray) -> np.ndarray:
+        raise NotImplementedError  # pragma: no cover - every kind overrides
+
+    def _apply_block(self, v: np.ndarray) -> np.ndarray:
+        return _by_columns(self._apply_vector, v, self.n_rows)
+
+    def _adjoint_block(self, w: np.ndarray) -> np.ndarray:
+        return _by_columns(self._adjoint_vector, w, self.n_cols)
 
     def _gram_solve(self, b: np.ndarray) -> np.ndarray:
         """Solve (H H^T) x = b for a checked b; rows are not orthonormal."""
@@ -148,6 +172,26 @@ class SensingOperator(ABC):
             f"{type(self).__name__}(N={self.n_rows}, m={self.n_cols}, "
             f"kind={self.kind!r}, rows_orthonormal={self.rows_orthonormal})"
         )
+
+
+def _operand(x, length: int, method: str) -> np.ndarray:
+    """``x`` as a float length-``length`` vector or ``length`` x k block: the
+    one shape rule of the three operator methods."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[0] != length:
+        raise InputError(
+            f"{method} expects a length-{length} vector or a {length} x k "
+            f"block, got shape {x.shape}"
+        )
+    return x
+
+
+def _by_columns(vector_map, block: np.ndarray, length: int) -> np.ndarray:
+    """The length x k block whose column j is ``vector_map`` of column j."""
+    out = np.empty((length, block.shape[1]))
+    for j in range(block.shape[1]):
+        out[:, j] = vector_map(block[:, j])
+    return out
 
 
 def _probe_rows_orthonormal(op: SensingOperator) -> bool:
@@ -183,10 +227,12 @@ class DenseOperator(SensingOperator):
 
     ``apply(v)`` is ``matrix[:, idx] @ v[idx]`` with ``idx`` the nonzeros
     of v when the matrix has at least 100,000 entries and
-    ``32 * idx.size <= m``, and ``matrix @ v`` otherwise; the matrix stays
-    in C order with no second copy.  The gathered product rounds
-    differently from the full one (a few ulps of ``|H_S| |v_S|``), and a v
-    with no nonzeros gives exact zeros on both paths.
+    ``32 * idx.size <= m``, and ``matrix @ v`` otherwise; a block gathers
+    its nonzero rows under ``4 * idx.size <= m``.  The matrix stays in C
+    order with no second copy.  The gathered product rounds differently
+    from the full one (a few ulps of ``|H_S| |v_S|``), and a v with no
+    nonzeros gives exact zeros on both paths.  The block adjoint is ``(W.T @ matrix).T``, one pass over the
+    matrix in its own order.
     """
 
     def __init__(self, matrix):
@@ -209,17 +255,27 @@ class DenseOperator(SensingOperator):
                     "(rank-deficient rows)"
                 ) from exc
 
-    def apply(self, v) -> np.ndarray:
-        v = _as_vector(v, self.n_cols, "v")
+    def _apply_vector(self, v: np.ndarray) -> np.ndarray:
+        return self._product(v, _GATHER_NNZ_DIVISOR)
+
+    def _apply_block(self, v: np.ndarray) -> np.ndarray:
+        return self._product(v, _GATHER_BLOCK_DIVISOR)
+
+    def _product(self, v: np.ndarray, divisor: int) -> np.ndarray:
+        """H v, read only at the nonzeros of v (the nonzero rows of a block)
+        when the matrix has at least 100,000 entries and there are at most
+        m / divisor of them."""
         if self.matrix.size >= _GATHER_MIN_ENTRIES:
-            idx = np.flatnonzero(v)
-            if _GATHER_NNZ_DIVISOR * idx.size <= self.n_cols:
+            idx = np.flatnonzero(v if v.ndim == 1 else v.any(axis=1))
+            if divisor * idx.size <= self.n_cols:
                 return self.matrix[:, idx] @ v[idx]
         return self.matrix @ v
 
-    def apply_adjoint(self, w) -> np.ndarray:
-        w = _as_vector(w, self.n_rows, "w")
+    def _adjoint_vector(self, w: np.ndarray) -> np.ndarray:
         return self.matrix.T @ w
+
+    def _adjoint_block(self, w: np.ndarray) -> np.ndarray:
+        return (w.T @ self.matrix).T
 
     def _gram_solve(self, b: np.ndarray) -> np.ndarray:
         x, info = dpotrs(self.gram_lower, b, lower=1)
@@ -272,12 +328,10 @@ class PartialDctOperator(SensingOperator):
         if not _probe_rows_orthonormal(self):
             raise InputError("partial DCT row selection failed orthonormality check")
 
-    def apply(self, v) -> np.ndarray:
-        v = _as_vector(v, self.n_cols, "v")
+    def _apply_vector(self, v: np.ndarray) -> np.ndarray:
         return scipy.fft.dct(v, type=2, norm="ortho")[self._rows]
 
-    def apply_adjoint(self, w) -> np.ndarray:
-        w = _as_vector(w, self.n_rows, "w")
+    def _adjoint_vector(self, w: np.ndarray) -> np.ndarray:
         full = np.zeros(self.n_cols)
         full[self._rows] = w
         return scipy.fft.idct(full, type=2, norm="ortho")
@@ -400,8 +454,7 @@ class PartialDft2Operator(SensingOperator):
         if not _probe_rows_orthonormal(self):
             raise InputError("partial DFT mask failed orthonormality check")
 
-    def apply(self, v) -> np.ndarray:
-        v = _as_vector(v, self.n_cols, "v")
+    def _apply_vector(self, v: np.ndarray) -> np.ndarray:
         spectrum = np.fft.rfft2(v.reshape(self.side, self.side)).ravel()
         z = spectrum[self._pair_at] / self.side
         return np.concatenate([
@@ -410,8 +463,7 @@ class PartialDft2Operator(SensingOperator):
             self._im_scale * z.imag,
         ])
 
-    def apply_adjoint(self, w) -> np.ndarray:
-        w = _as_vector(w, self.n_rows, "w")
+    def _adjoint_vector(self, w: np.ndarray) -> np.ndarray:
         n_self, n_pairs = self._self.size, self._pairs.size
         re, im = w[n_self:n_self + n_pairs], w[n_self + n_pairs:]
         half = np.zeros(self.side * (self.side // 2 + 1), dtype=complex)
@@ -456,11 +508,10 @@ class ComposedOperator(SensingOperator):
         self.sampling = sampling
         self.basis = basis
 
-    def apply(self, v) -> np.ndarray:
-        v = _as_vector(v, self.n_cols, "v")
+    def _apply_vector(self, v: np.ndarray) -> np.ndarray:
         return self.sampling.apply(self.basis.synthesize(v))
 
-    def apply_adjoint(self, w) -> np.ndarray:
+    def _adjoint_vector(self, w: np.ndarray) -> np.ndarray:
         return self.basis.analyze(self.sampling.apply_adjoint(w))
 
     def _gram_solve(self, b: np.ndarray) -> np.ndarray:

@@ -1,6 +1,9 @@
 """Command-line interface: file round trips and exit codes."""
 
+import bz2
+import gzip
 import json
+import lzma
 import math
 import os
 import subprocess
@@ -49,6 +52,62 @@ def test_vector_accepts_single_row(tmp_path):
     path = tmp_path / "row.csv"
     path.write_text("1.5,2.5,3.5\n")
     assert np.array_equal(load_vector_csv(path), [1.5, 2.5, 3.5])
+
+
+_BAD_CSV = {
+    "ragged": b"1,2,3\n4,5\n",
+    "non-numeric": b"1,2\n3,abc\n",
+    "non-utf8": b"1,2\n3,\xff\xfe\n",
+    "empty": b"",
+}
+
+
+def _bad_csv(tmp_path, case):
+    """A file of one bad kind; "missing" names a path that does not exist."""
+    path = tmp_path / f"{case}.csv"
+    if case != "missing":
+        path.write_bytes(_BAD_CSV[case])
+    return path
+
+
+@pytest.mark.parametrize("case", ["missing", "ragged", "non-numeric", "non-utf8"])
+@pytest.mark.parametrize("load", [load_matrix_csv, load_vector_csv],
+                         ids=["matrix", "vector"])
+def test_unreadable_csv_raises_input_error(tmp_path, case, load):
+    path = _bad_csv(tmp_path, case)
+    with pytest.raises(InputError, match="could not read") as info:
+        load(path)
+    assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_compressed_csv_loads_as_plain(tmp_path, suffix):
+    """A compressed file loads as its plain text does, as numpy's own
+    path-based loader decodes it."""
+    module = {".gz": gzip, ".bz2": bz2, ".xz": lzma, ".lzma": lzma}[suffix]
+    text = "1.5,-2\n3,4e-3\n"
+    plain, packed = tmp_path / "h.csv", tmp_path / f"h.csv{suffix}"
+    plain.write_text(text)
+    with module.open(packed, "wt") as handle:
+        handle.write(text)
+    assert load_matrix_csv(packed).tobytes() == load_matrix_csv(plain).tobytes()
+    assert load_matrix_csv(packed).tobytes() == np.loadtxt(packed, delimiter=",").tobytes()
+
+
+@pytest.mark.parametrize("case", ["missing", *_BAD_CSV])
+@pytest.mark.parametrize("role", ["matrix", "y"])
+def test_bad_csv_exits_2(tmp_path, toy_files, role, case, capsys):
+    """Every bad input file stops the CLI with exit 2 and one error line;
+    an empty file loads as an empty array and fails the shape checks."""
+    matrix_path, y_path = toy_files
+    bad = str(_bad_csv(tmp_path, case))
+    args = ["ecme", "--matrix", bad if role == "matrix" else matrix_path,
+            "--y", bad if role == "y" else y_path, "--r", "1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(args) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 @pytest.fixture()

@@ -277,6 +277,74 @@ def test_adjoint_identity_property(kind, data, seed):
     assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs), abs(rhs))
 
 
+def _sparse_block(rng, rows, k):
+    """A rows x k Gaussian block with about half its rows zero."""
+    block = rng.standard_normal((rows, k))
+    block[rng.random(rows) < 0.5] = 0.0
+    return block
+
+
+@pytest.mark.parametrize("kind", ["dense", "identity", "dct", "dft2_haar"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), k=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
+def test_block_calls_match_vector_calls(kind, data, k, seed):
+    """Column j of a block apply or adjoint is the vector call on column j:
+    byte for byte on the kinds served column by column, and within 4 ulps
+    of |H| |V| on the dense kind's own block products."""
+    rng = np.random.default_rng(seed)
+    op = _draw_operator(kind, data, rng)
+    for method, block, rows in (
+            (op.apply, _sparse_block(rng, op.n_cols, k), op.n_rows),
+            (op.apply_adjoint, _sparse_block(rng, op.n_rows, k), op.n_cols)):
+        out = method(block)
+        expected = np.empty((rows, k))
+        for j in range(k):
+            expected[:, j] = method(block[:, j])
+        assert out.shape == (rows, k)
+        if op.kind == "dense":
+            matrix = op.matrix if method == op.apply else op.matrix.T
+            scale = np.abs(matrix) @ np.abs(block)
+            assert np.all(np.abs(out - expected) <= 4 * np.finfo(float).eps * scale)
+        else:
+            assert out.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("shape,k,gathered", [
+    ((160, 625), 3, True),     # N m = 100,000: the size gate admits it
+    ((160, 624), 3, False),    # N m = 99,840
+    ((200, 512), 128, True),   # 4 nonzero rows = m: the block density gate admits it
+    ((200, 512), 129, False),
+    ((8, 12), 5, False),       # small matrices never gather
+], ids=["size-at-gate", "size-below-gate", "rows-at-gate", "rows-over-gate", "small"])
+def test_dense_unit_columns_give_matrix_columns(shape, k, gathered):
+    """A block of unit columns e_j, in any column order, gives H[:, J] byte
+    for byte on both sides of the gather gate."""
+    rng = np.random.default_rng(sum(shape) + k)
+    op = DenseOperator(rng.standard_normal(shape))
+    columns = rng.choice(shape[1], size=k, replace=False)
+    unit = np.zeros((shape[1], k))
+    unit[columns, np.arange(k)] = 1.0
+    full = op.matrix
+    op.matrix = full.view(_ProductWidths)
+    op.matrix.widths = []
+    out = op.apply(unit)
+    assert op.matrix.widths == [k if gathered else shape[1]]
+    assert out.tobytes() == full[:, columns].tobytes()
+
+
+@pytest.mark.parametrize("method,shape", [
+    ("apply", (3, 2, 1)), ("apply", (2, 3)), ("apply", (2,)), ("apply", ()),
+    ("apply_adjoint", (2, 3, 1)), ("apply_adjoint", (3, 2)),
+    ("apply_adjoint", (3,)), ("apply_adjoint", ()),
+], ids=["apply-3-D", "apply-rows", "apply-length", "apply-scalar",
+        "adjoint-3-D", "adjoint-rows", "adjoint-length", "adjoint-scalar"])
+def test_apply_shape_contract(toy_operator, method, shape):
+    dct = PartialDctOperator(3, [0, 2])  # 2 x 3, like the toy operator
+    for op in (toy_operator, dct):
+        with pytest.raises(InputError, match=f"{method} expects"):
+            getattr(op, method)(np.ones(shape))
+
+
 def test_rows_orthonormal_flag_matches_probe():
     rng = np.random.default_rng(4)
     dense = DenseOperator(rng.standard_normal((6, 12)))

@@ -25,6 +25,8 @@ from sparserecon import (
     support,
     weighted_error,
 )
+from sparserecon import recon
+from sparserecon.recon import _Images, _plain_step
 
 
 # ------------------------------------------------------------ hard threshold
@@ -269,6 +271,45 @@ def test_transform_robustness_support_sequence():
         tb = ecme_step(op_b, yb, tb)
         assert np.array_equal(support(ta.s), support(tb.s))
     assert np.allclose(ta.s, tb.s, atol=1e-8)
+
+
+@st.composite
+def _dense_steps(draw):
+    """A dense operator, scaled noisy measurements, r, and an r-sparse s."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = int(rng.integers(4, 31))
+    m = int(rng.integers(n + 4, 3 * n + 1))
+    op = DenseOperator(rng.standard_normal((n, m)))
+    # r columns imaged and r more thresholded fit the cache: 2 r <= N m / (2 N + m)
+    r = int(rng.integers(1, max(n * m // (2 * n + m) // 2, 1) + 1))
+    scale = 10.0 ** draw(st.floats(-4.0, 4.0))
+    noise = draw(st.sampled_from((0.0, 0.01, 0.5)))
+    y = scale * (op.apply(hard_threshold(rng.standard_normal(m), r))
+                 + noise * rng.standard_normal(n))
+    return op, y, r, scale * hard_threshold(rng.standard_normal(m), r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_dense_steps())
+def test_cached_step_matches_ecme_step(case):
+    """The solvers' step from the cache of solved columns, its size gate
+    lowered so these small H take it, against ``ecme_step``, which solves
+    and adjoins on every call."""
+    op, y, r, s = case
+    theta = ParamEstimate(s, sigma2_hat(op, y, s), r)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(recon, "_CACHE_MIN_ENTRIES", 0)
+        images = _Images(op, y)
+    curr = images.image(s)
+    z, z_ref = images.refine(curr), empirical_bayes_estimate(op, y, theta)
+    bound = 1e-12 * np.linalg.norm(z_ref)
+    assert np.max(np.abs(z - z_ref)) <= bound
+    step, ref = _plain_step(images, curr, r), ecme_step(op, y, theta)
+    assert images.cached
+    if not np.array_equal(support(step.s), support(ref.s)):
+        # a rounding tie: each |z| moved by at most the bound
+        magnitudes = np.sort(np.abs(z_ref))[::-1]
+        assert magnitudes[r - 1] - magnitudes[r] <= 2 * bound
 
 
 # -------------------------------------------------------------------- iht_run
