@@ -20,14 +20,12 @@ min-SSQ form, ``ssq`` and the brute-force oracle) goes through its
 is one LAPACK ``dpotrs`` call on it, with no per-call copy or finiteness
 scan.
 
-``DenseOperator.apply`` reads only the columns of H that meet a nonzero of
-v when H has at least 100,000 entries and v at most m/32 nonzeros, or a
-block at most m/4 nonzero rows.  Otherwise it reads the whole matrix.  The
-gathered sum adds the same products as the full one in another order, so
-the two agree to rounding, not bit for bit; a block of unit columns e_j
-gives the columns H[:, j] exactly on both paths.  The dense block products
-round differently from the column-by-column ones, within a few ulps of
-|H| |V|.
+``DenseOperator.apply`` of a block reads only the columns of H at the
+block's nonzero rows when at most m/4 rows are nonzero; a block of unit
+columns e_j then gives the columns H[:, j] exactly, as the full product
+does.  A vector apply, and any other block, reads the whole matrix.  The
+dense block products round differently from the column-by-column ones,
+within a few ulps of |H| |V|.
 
 Concrete kinds:
 
@@ -60,19 +58,11 @@ from scipy.linalg.lapack import dpotrs
 from .errors import InputError, _count, _pow2
 
 _ORTHO_TOL = 1e-10
-# Gates of the support gather in DenseOperator.apply, read off a grid of
-# full against gathered apply timings (2-CPU Intel Xeon, one BLAS thread,
-# N = 0.4 m from 160 x 400 to 800 x 2000, nnz from m/50 to m/8): they admit
-# only points where the gather was at least 10% faster.  Below 100,000
-# entries its fixed cost (the nonzero scan and the column copy) eats the
-# saving; at 200 x 500 it stops winning by 10% past m/32 nonzeros, and at
-# 800 x 2000 it stops winning at all near m/16.  A block of k columns
-# shares one gather among k products: on the same host a block of unit
-# columns gathered was faster than the full product up to m/4 nonzero rows
-# at 200 x 500 (604 against 754 us) and 800 x 2000 (15 against 29 ms), and
+# Gate of the row gather in DenseOperator's block apply, read off timings
+# of full against gathered products of a block of unit columns (2-CPU Intel
+# Xeon, one BLAS thread): the gather was faster up to m/4 nonzero rows at
+# 200 x 500 (604 against 754 us) and 800 x 2000 (15 against 29 ms), and
 # slower at m/2 on 200 x 500.
-_GATHER_MIN_ENTRIES = 100_000
-_GATHER_NNZ_DIVISOR = 32
 _GATHER_BLOCK_DIVISOR = 4
 _SQRT2 = math.sqrt(2.0)
 
@@ -225,14 +215,13 @@ class DenseOperator(SensingOperator):
     Rows detected orthonormal (max |H H^T - I| <= 1e-10) store no factor
     (``gram_lower`` is None) and make gram_solve the identity map.
 
-    ``apply(v)`` is ``matrix[:, idx] @ v[idx]`` with ``idx`` the nonzeros
-    of v when the matrix has at least 100,000 entries and
-    ``32 * idx.size <= m``, and ``matrix @ v`` otherwise; a block gathers
-    its nonzero rows under ``4 * idx.size <= m``.  The matrix stays in C
-    order with no second copy.  The gathered product rounds differently
-    from the full one (a few ulps of ``|H_S| |v_S|``), and a v with no
-    nonzeros gives exact zeros on both paths.  The block adjoint is ``(W.T @ matrix).T``, one pass over the
-    matrix in its own order.
+    ``apply(v)`` is ``matrix @ v``.  A block V is ``matrix[:, idx] @ V[idx]``
+    with ``idx`` its nonzero rows when ``4 * idx.size <= m``, and
+    ``matrix @ V`` otherwise; the gathered product rounds differently from
+    the full one (a few ulps of ``|H_S| |V_S|``), and both give ``H[:, J]``
+    exactly for unit columns e_j, j in J.  The matrix stays in C order with
+    no second copy.  The block adjoint is ``(W.T @ matrix).T``, one pass
+    over the matrix in its own order.
     """
 
     def __init__(self, matrix):
@@ -256,19 +245,12 @@ class DenseOperator(SensingOperator):
                 ) from exc
 
     def _apply_vector(self, v: np.ndarray) -> np.ndarray:
-        return self._product(v, _GATHER_NNZ_DIVISOR)
+        return self.matrix @ v
 
     def _apply_block(self, v: np.ndarray) -> np.ndarray:
-        return self._product(v, _GATHER_BLOCK_DIVISOR)
-
-    def _product(self, v: np.ndarray, divisor: int) -> np.ndarray:
-        """H v, read only at the nonzeros of v (the nonzero rows of a block)
-        when the matrix has at least 100,000 entries and there are at most
-        m / divisor of them."""
-        if self.matrix.size >= _GATHER_MIN_ENTRIES:
-            idx = np.flatnonzero(v if v.ndim == 1 else v.any(axis=1))
-            if divisor * idx.size <= self.n_cols:
-                return self.matrix[:, idx] @ v[idx]
+        idx = np.flatnonzero(v.any(axis=1))
+        if _GATHER_BLOCK_DIVISOR * idx.size <= self.n_cols:
+            return self.matrix[:, idx] @ v[idx]
         return self.matrix @ v
 
     def _adjoint_vector(self, w: np.ndarray) -> np.ndarray:

@@ -55,7 +55,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError, _count
-from .operators import SensingOperator, _finite_vector
+from .operators import SensingOperator, _as_vector, _finite_vector
 
 # The solvers cache solved columns only when H has at least this many
 # entries.  Below it the batches cost about what they save, and more on
@@ -118,8 +118,8 @@ def support(x) -> np.ndarray:
 class ParamEstimate:
     """Signal/variance parameter pair tagged with its sparsity level.
 
-    Invariants: r is a nonnegative integer, the signal has at most r
-    nonzeros and sigma2 >= 0 (NaN is rejected).
+    Invariants: r is a nonnegative integer, the signal is a 1-D vector with
+    at most r nonzeros and sigma2 >= 0 (NaN is rejected).
     """
 
     s: np.ndarray
@@ -128,6 +128,8 @@ class ParamEstimate:
 
     def __post_init__(self):
         s = np.asarray(self.s, dtype=float)
+        if s.ndim != 1:
+            raise InputError(f"s must be a 1-D vector, got shape {s.shape}")
         object.__setattr__(self, "s", s)
         if not self.sigma2 >= 0:
             raise InputError(f"sigma2 must be nonnegative, got {self.sigma2}")
@@ -189,7 +191,7 @@ def sigma2_hat(op: SensingOperator, y, s) -> float:
     Zero exactly when y = H s; tiny negative rounding is clamped to 0.
     """
     y = _as_measurements(op, y)
-    residual = y - op.apply(s)
+    residual = y - op.apply(_as_vector(s, op.n_cols, "s"))
     value = float(residual @ op.gram_solve(residual)) / op.n_rows
     return max(value, 0.0)
 

@@ -44,7 +44,7 @@ def test_dense_dimension_mismatch(toy_operator):
         toy_operator.gram_solve([1.0, 2.0, 3.0])
 
 
-# ------------------------------------------------------ dense support gather
+# ------------------------------------------------------ dense block gather
 
 class _ProductWidths(np.ndarray):
     """Matrix view that logs the column count of every product it takes, so
@@ -58,55 +58,34 @@ class _ProductWidths(np.ndarray):
         return np.asarray(self) @ other
 
 
-def _sparse_vector(rng, m, nnz):
-    v = np.zeros(m)
-    v[rng.choice(m, size=nnz, replace=False)] = rng.standard_normal(nnz)
-    return v
-
-
-@pytest.mark.parametrize("shape,nnz,gathered", [
-    ((160, 625), 1, True),     # N m = 100,000: the size gate admits it
-    ((160, 624), 1, False),    # N m = 99,840
-    ((200, 512), 16, True),    # 32 nnz = m: the density gate admits it
-    ((200, 512), 17, False),
-    ((200, 512), 0, True),     # nothing to read
-    ((8, 12), 0, False),       # small matrices never gather
-], ids=["size-at-gate", "size-below-gate", "nnz-at-gate", "nnz-over-gate",
-        "nnz-zero", "small-zero"])
-def test_dense_apply_gathers_only_behind_both_gates(shape, nnz, gathered):
-    rng = np.random.default_rng(sum(shape) + nnz)
-    op = DenseOperator(rng.standard_normal(shape))
+def _logged_operator(shape, seed):
+    """A Gaussian DenseOperator whose matrix logs its product widths, and
+    the plain matrix."""
+    op = DenseOperator(np.random.default_rng(seed).standard_normal(shape))
     full = op.matrix
     op.matrix = full.view(_ProductWidths)
     op.matrix.widths = []
-    v = _sparse_vector(rng, shape[1], nnz)
-    out = op.apply(v)
-    assert op.matrix.widths == [nnz if gathered else shape[1]]
-    if nnz == 0:
-        assert not out.any()
-    if not gathered:
-        assert out.tobytes() == (full @ v).tobytes()
+    return op, full
 
 
-@settings(max_examples=50, deadline=None)
-@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
-def test_dense_gathered_apply_matches_full_product(data, seed):
-    """Shapes straddle the 100,000-entry gate and nnz the m/32 one.  The
-    gathered and the full product add the same nnz products in different
-    orders; on Gaussian data they agree within a few ulps of |H_S| |v_S|
-    (a sweep of 171,000 rows saw at most 1.7)."""
-    m = data.draw(st.integers(320, 900), label="m")
-    n = data.draw(st.integers(-(-60_000 // m), min(m, 150_000 // m)), label="N")
-    nnz = data.draw(st.integers(0, 2 * (m // 32) + 2), label="nnz")
-    rng = np.random.default_rng(seed)
-    h = rng.standard_normal((n, m))
-    v = _sparse_vector(rng, m, nnz)
-    out = DenseOperator(h).apply(v)
-    if nnz == 0:
-        assert not out.any()
-    idx = np.flatnonzero(v)
-    scale = np.abs(h[:, idx]) @ np.abs(v[idx])
-    assert np.all(np.abs(out - h @ v) <= 4 * np.finfo(float).eps * scale)
+@pytest.mark.parametrize("shape,nnz", [
+    ((160, 625), 1),       # N m = 100,000
+    ((160, 624), 1),       # N m = 99,840
+    ((200, 512), 16),      # 32 nnz = m
+    ((200, 512), 17),
+    ((200, 512), 0),
+    ((8, 12), 0),
+], ids=["size-at-old-gate", "size-below-old-gate", "nnz-at-old-gate",
+        "nnz-over-old-gate", "nnz-zero", "small-zero"])
+def test_dense_vector_apply_is_the_full_product(shape, nnz):
+    """A vector apply reads every column, byte for byte ``matrix @ v``, on
+    both sides of the sizes and densities at which it once gathered."""
+    op, full = _logged_operator(shape, sum(shape) + nnz)
+    rng = np.random.default_rng(nnz)
+    v = np.zeros(shape[1])
+    v[rng.choice(shape[1], size=nnz, replace=False)] = rng.standard_normal(nnz)
+    assert op.apply(v).tobytes() == (full @ v).tobytes()
+    assert op.matrix.widths == [shape[1]]
 
 
 def test_gram_solve_hand_value(toy_operator):
@@ -277,10 +256,16 @@ def test_adjoint_identity_property(kind, data, seed):
     assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs), abs(rhs))
 
 
-def _sparse_block(rng, rows, k):
-    """A rows x k Gaussian block with about half its rows zero."""
-    block = rng.standard_normal((rows, k))
-    block[rng.random(rows) < 0.5] = 0.0
+def _sparse_block(rng, data, rows, k):
+    """A rows x k Gaussian block whose number of nonzero rows is drawn at
+    most rows/4 or above it, so a dense apply lands on both sides of its
+    gather rule."""
+    nonzero = data.draw(st.one_of(st.integers(0, rows // 4),
+                                  st.integers(rows // 4 + 1, rows)),
+                        label="nonzero rows")
+    block = np.zeros((rows, k))
+    rows_drawn = rng.choice(rows, size=nonzero, replace=False)
+    block[rows_drawn] = rng.standard_normal((nonzero, k))
     return block
 
 
@@ -294,8 +279,8 @@ def test_block_calls_match_vector_calls(kind, data, k, seed):
     rng = np.random.default_rng(seed)
     op = _draw_operator(kind, data, rng)
     for method, block, rows in (
-            (op.apply, _sparse_block(rng, op.n_cols, k), op.n_rows),
-            (op.apply_adjoint, _sparse_block(rng, op.n_rows, k), op.n_cols)):
+            (op.apply, _sparse_block(rng, data, op.n_cols, k), op.n_rows),
+            (op.apply_adjoint, _sparse_block(rng, data, op.n_rows, k), op.n_cols)):
         out = method(block)
         expected = np.empty((rows, k))
         for j in range(k):
@@ -310,23 +295,20 @@ def test_block_calls_match_vector_calls(kind, data, k, seed):
 
 
 @pytest.mark.parametrize("shape,k,gathered", [
-    ((160, 625), 3, True),     # N m = 100,000: the size gate admits it
-    ((160, 624), 3, False),    # N m = 99,840
-    ((200, 512), 128, True),   # 4 nonzero rows = m: the block density gate admits it
+    ((200, 512), 128, True),   # 4 nonzero rows = m: the gather rule admits it
     ((200, 512), 129, False),
-    ((8, 12), 5, False),       # small matrices never gather
-], ids=["size-at-gate", "size-below-gate", "rows-at-gate", "rows-over-gate", "small"])
+    ((160, 624), 3, True),     # no size gate: 99,840 entries gather
+    ((8, 12), 3, True),        # nor does a small matrix
+    ((8, 12), 4, False),
+], ids=["rows-at-gate", "rows-over-gate", "below-old-size-gate", "small",
+        "small-over-gate"])
 def test_dense_unit_columns_give_matrix_columns(shape, k, gathered):
     """A block of unit columns e_j, in any column order, gives H[:, J] byte
-    for byte on both sides of the gather gate."""
-    rng = np.random.default_rng(sum(shape) + k)
-    op = DenseOperator(rng.standard_normal(shape))
-    columns = rng.choice(shape[1], size=k, replace=False)
+    for byte on both sides of the gather rule."""
+    op, full = _logged_operator(shape, sum(shape) + k)
+    columns = np.random.default_rng(k).choice(shape[1], size=k, replace=False)
     unit = np.zeros((shape[1], k))
     unit[columns, np.arange(k)] = 1.0
-    full = op.matrix
-    op.matrix = full.view(_ProductWidths)
-    op.matrix.widths = []
     out = op.apply(unit)
     assert op.matrix.widths == [k if gathered else shape[1]]
     assert out.tobytes() == full[:, columns].tobytes()

@@ -382,6 +382,22 @@ def test_gram_weighted_helpers_reject_non_finite_y(bench_dct_operator, kind,
         helper(op, y)
 
 
+@pytest.mark.parametrize("helper", [
+    sigma2_hat,
+    weighted_error,
+    lambda op, y, s: empirical_bayes_estimate(op, y, ParamEstimate(s, 1.0, 2)),
+    lambda op, y, s: ecme_step(op, y, ParamEstimate(s, 1.0, 2)),
+], ids=["sigma2_hat", "weighted_error", "empirical_bayes_estimate", "ecme_step"])
+@pytest.mark.parametrize("k", [1, 3], ids=["column", "block"])
+def test_signal_helpers_reject_2d_signals(toy_operator, helper, k):
+    # apply takes an m x k block, so a 2-D signal must be refused before it:
+    # it would broadcast against y or come back as a block
+    s = np.zeros((toy_operator.n_cols, k))
+    s[0, 0] = 1.0
+    with pytest.raises(InputError, match="^s must be a"):
+        helper(toy_operator, np.array([2.0, 2.0]), s)
+
+
 # ------------------------------------------------------------------ baselines
 
 def test_minimum_norm_identity_and_orthonormal():
@@ -445,6 +461,25 @@ def _result_bytes(result):
             result.iterations, result.converged, result.branches)
 
 
+def _assert_solvers_byte_identical(op, reference, y, r, stop=None, adore=True):
+    """ECME, DORE and, with ``adore``, ADORE give the same bytes on both
+    operators: estimate, trace, iterations, branches and ADORE's probes."""
+    for run in (ecme_run, dore_run):
+        assert (_result_bytes(run(op, y, r, stop=stop))
+                == _result_bytes(run(reference, y, r, stop=stop)))
+    if not adore:
+        return
+    auto, auto_ref = adore_run(op, y, stop=stop), adore_run(reference, y, stop=stop)
+    assert auto.r_selected == auto_ref.r_selected
+    assert auto.dore_runs == auto_ref.dore_runs
+    assert _result_bytes(auto.final) == _result_bytes(auto_ref.final)
+    assert ([(e.r, e.growth_rate) for e in auto.evaluations]
+            == [(e.r, e.growth_rate) for e in auto_ref.evaluations])
+    scores = [np.array([[e.sigma2_est, e.uss_value] for e in a.evaluations])
+              for a in (auto, auto_ref)]
+    assert scores[0].tobytes() == scores[1].tobytes()
+
+
 @pytest.mark.parametrize("seed,noise", [(1, 0.0), (2, 0.0), (3, 0.0), (4, 0.05)],
                          ids=["clean-1", "clean-2", "clean-3", "noisy"])
 def test_solvers_byte_identical_to_cho_solve_path(seed, noise):
@@ -452,53 +487,30 @@ def test_solvers_byte_identical_to_cho_solve_path(seed, noise):
     H = rng.standard_normal((60, 150))
     truth = hard_threshold(rng.standard_normal(150), 8)
     y = H @ truth + noise * rng.standard_normal(60)
-    fast, plain = DenseOperator(H), ChoSolveDenseOperator(H)
-    stop = StoppingRule(max_iter=2000)
-    for run in (ecme_run, dore_run):
-        assert (_result_bytes(run(fast, y, 8, stop=stop))
-                == _result_bytes(run(plain, y, 8, stop=stop)))
-    auto_fast, auto_plain = adore_run(fast, y, stop=stop), adore_run(plain, y, stop=stop)
-    assert auto_fast.r_selected == auto_plain.r_selected
-    assert auto_fast.dore_runs == auto_plain.dore_runs
-    assert _result_bytes(auto_fast.final) == _result_bytes(auto_plain.final)
-    assert ([(e.r, e.growth_rate) for e in auto_fast.evaluations]
-            == [(e.r, e.growth_rate) for e in auto_plain.evaluations])
-    scores = [np.array([[e.sigma2_est, e.uss_value] for e in auto.evaluations])
-              for auto in (auto_fast, auto_plain)]
-    assert scores[0].tobytes() == scores[1].tobytes()
+    _assert_solvers_byte_identical(DenseOperator(H), ChoSolveDenseOperator(H), y, 8,
+                                   stop=StoppingRule(max_iter=2000))
 
 
 class FullProductDenseOperator(DenseOperator):
     """Dense operator whose apply always reads every column of H: the
-    reference for the support gather.  Its gram factor and adjoint are the
+    reference for the block gather.  Its gram factor and adjoint are the
     dense kind's own."""
 
     def apply(self, v):
         return self.matrix @ np.asarray(v, dtype=float)
 
 
-def _run_summary(result):
-    return (support(result.estimate.s).tolist(), result.iterations, result.converged)
-
-
 @pytest.mark.parametrize("m,n,r,seed", [(500, 200, 10, 1), (500, 200, 10, 2),
                                         (2000, 800, 40, 3)],
                          ids=["d200-1", "d200-2", "d800-3"])
 def test_solvers_match_full_product_path(m, n, r, seed):
-    """Both sizes pass the gather's size gate and the solvers' r-sparse
-    applies its density gate, so those applies round differently from the
-    full product; supports, iteration counts and ADORE's selection must
-    not move."""
+    """Both sizes run the solvers' column cache, whose block applies of unit
+    columns gather their rows when at most m/4 are nonzero.  Gathered or
+    not, a product of unit columns is exact, so every run is byte-identical
+    to the full product's."""
     inst = random_instance(m, n, r, 0.0, seed)
-    gathered, full = inst.operator, FullProductDenseOperator(inst.operator.matrix)
-    for run in (ecme_run, dore_run):
-        assert (_run_summary(run(gathered, inst.y, r))
-                == _run_summary(run(full, inst.y, r)))
-    if m == 500:
-        auto_gathered, auto_full = adore_run(gathered, inst.y), adore_run(full, inst.y)
-        assert auto_gathered.r_selected == auto_full.r_selected
-        assert auto_gathered.dore_runs == auto_full.dore_runs
-        assert _run_summary(auto_gathered.final) == _run_summary(auto_full.final)
+    full = FullProductDenseOperator(inst.operator.matrix)
+    _assert_solvers_byte_identical(inst.operator, full, inst.y, r, adore=m == 500)
 
 
 # ------------------------------------------------------------- value objects
