@@ -67,13 +67,14 @@ def save_matrix_csv(path, matrix) -> None:
 
 
 def load_vector_csv(path) -> np.ndarray:
-    """Read a vector; accepts one value per line or a single CSV row."""
+    """Read a vector; accepts one value per line or a single CSV row.
+
+    ``np.loadtxt`` squeezes length-1 axes, so either layout loads 1-D and
+    only a matrix of at least two rows and two columns stays 2-D.
+    """
     data = np.atleast_1d(_load_csv(path, "vector"))
     if data.ndim != 1:
-        if 1 in data.shape:
-            data = data.ravel()
-        else:
-            raise InputError(f"{path} holds a matrix, expected a vector")
+        raise InputError(f"{path} holds a matrix, expected a vector")
     return data
 
 

@@ -21,11 +21,10 @@ is one LAPACK ``dpotrs`` call on it, with no per-call copy or finiteness
 scan.
 
 ``DenseOperator.apply`` of a block reads only the columns of H at the
-block's nonzero rows when at most m/4 rows are nonzero; a block of unit
-columns e_j then gives the columns H[:, j] exactly, as the full product
-does.  A vector apply, and any other block, reads the whole matrix.  The
-dense block products round differently from the column-by-column ones,
-within a few ulps of |H| |V|.
+block's nonzero rows, so a block of unit columns e_j gives the columns
+H[:, j] exactly; a vector apply reads the whole matrix.  The dense block
+products round differently from the column-by-column ones, within a few
+ulps of |H| |V|.
 
 Concrete kinds:
 
@@ -58,12 +57,6 @@ from scipy.linalg.lapack import dpotrs
 from .errors import InputError, _count, _pow2
 
 _ORTHO_TOL = 1e-10
-# Gate of the row gather in DenseOperator's block apply, read off timings
-# of full against gathered products of a block of unit columns (2-CPU Intel
-# Xeon, one BLAS thread): the gather was faster up to m/4 nonzero rows at
-# 200 x 500 (604 against 754 us) and 800 x 2000 (15 against 29 ms), and
-# slower at m/2 on 200 x 500.
-_GATHER_BLOCK_DIVISOR = 4
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -187,21 +180,20 @@ def _by_columns(vector_map, block: np.ndarray, length: int) -> np.ndarray:
 def _probe_rows_orthonormal(op: SensingOperator) -> bool:
     """Check H H^T = I by probing.
 
-    Uses the full basis for small N (exact check of every column of H H^T)
-    and a handful of random probes otherwise.  Probing keeps the check
-    affordable for matrix-free kinds.
+    The probes are the columns of one block: the full basis for small N
+    (exact check of every column of H H^T), five random columns otherwise.
+    One block adjoint and one block apply map it back, which keeps the
+    check affordable for matrix-free kinds.  Each column is held to its own
+    bound, relative to its largest entry.
     """
     n = op.n_rows
     if n <= 64:
         probes = np.eye(n)
     else:
-        rng = np.random.default_rng(0)
-        probes = rng.standard_normal((5, n))
-    for w in probes:
-        back = op.apply(op.apply_adjoint(w))
-        if np.max(np.abs(back - w)) > _ORTHO_TOL * max(1.0, np.max(np.abs(w))):
-            return False
-    return True
+        probes = np.random.default_rng(0).standard_normal((5, n)).T
+    err = np.max(np.abs(op.apply(op.apply_adjoint(probes)) - probes), axis=0)
+    bound = _ORTHO_TOL * np.maximum(1.0, np.max(np.abs(probes), axis=0))
+    return not np.any(err > bound)
 
 
 class DenseOperator(SensingOperator):
@@ -216,12 +208,11 @@ class DenseOperator(SensingOperator):
     (``gram_lower`` is None) and make gram_solve the identity map.
 
     ``apply(v)`` is ``matrix @ v``.  A block V is ``matrix[:, idx] @ V[idx]``
-    with ``idx`` its nonzero rows when ``4 * idx.size <= m``, and
-    ``matrix @ V`` otherwise; the gathered product rounds differently from
-    the full one (a few ulps of ``|H_S| |V_S|``), and both give ``H[:, J]``
-    exactly for unit columns e_j, j in J.  The matrix stays in C order with
-    no second copy.  The block adjoint is ``(W.T @ matrix).T``, one pass
-    over the matrix in its own order.
+    with ``idx`` its nonzero rows; it rounds differently from the full
+    product (a few ulps of ``|H_S| |V_S|``), and gives ``H[:, J]`` exactly
+    for unit columns e_j, j in J.  The matrix stays in C order; the gather
+    copies only the columns at ``idx``.  The block adjoint is
+    ``(W.T @ matrix).T``, one pass over the matrix in its own order.
     """
 
     def __init__(self, matrix):
@@ -249,9 +240,7 @@ class DenseOperator(SensingOperator):
 
     def _apply_block(self, v: np.ndarray) -> np.ndarray:
         idx = np.flatnonzero(v.any(axis=1))
-        if _GATHER_BLOCK_DIVISOR * idx.size <= self.n_cols:
-            return self.matrix[:, idx] @ v[idx]
-        return self.matrix @ v
+        return self.matrix[:, idx] @ v[idx]
 
     def _adjoint_vector(self, w: np.ndarray) -> np.ndarray:
         return self.matrix.T @ w

@@ -109,9 +109,13 @@ def hard_threshold(x, r: int) -> np.ndarray:
     return out
 
 
-def support(x) -> np.ndarray:
-    """Indices of the nonzero entries (exact-zero test, 0-based, sorted)."""
-    return np.flatnonzero(np.asarray(x))
+def support(s) -> np.ndarray:
+    """Indices of the nonzero entries of a 1-D signal (exact-zero test,
+    0-based, sorted)."""
+    s = np.asarray(s)
+    if s.ndim != 1:
+        raise InputError(f"s must be a 1-D vector, got shape {s.shape}")
+    return np.flatnonzero(s)
 
 
 @dataclass(frozen=True)
@@ -119,7 +123,8 @@ class ParamEstimate:
     """Signal/variance parameter pair tagged with its sparsity level.
 
     Invariants: r is a nonnegative integer, the signal is a 1-D vector with
-    at most r nonzeros and sigma2 >= 0 (NaN is rejected).
+    at most r nonzeros and sigma2 >= 0 (NaN is rejected).  The signal is a
+    copy, so writes to the caller's array cannot break them.
     """
 
     s: np.ndarray
@@ -127,7 +132,7 @@ class ParamEstimate:
     r: int
 
     def __post_init__(self):
-        s = np.asarray(self.s, dtype=float)
+        s = np.array(self.s, dtype=float)
         if s.ndim != 1:
             raise InputError(f"s must be a 1-D vector, got shape {s.shape}")
         object.__setattr__(self, "s", s)

@@ -238,13 +238,21 @@ def _draw_operator(kind, data, rng):
         rows = data.draw(st.lists(st.integers(0, n_cols - 1), min_size=1,
                                   max_size=n_cols, unique=True), label="rows")
         return PartialDctOperator(n_cols, rows)
+    if kind == "dense_haar":  # a sampler whose rows are not orthonormal
+        side = 2 ** data.draw(st.integers(1, 3), label="log_side")
+        n_rows = data.draw(st.integers(1, min(12, side * side - 2)), label="n_rows")
+        sampling = DenseOperator(rng.standard_normal((n_rows, side * side)))
+        return ComposedOperator(sampling, HaarBasis(side))
     side = 2 ** data.draw(st.integers(1, 5), label="log_side")
     mask = rng.random((side, side)) < data.draw(st.floats(0.0, 1.0), label="density")
     mask[rng.integers(side), rng.integers(side)] = True
     return ComposedOperator(PartialDft2Operator(mask), HaarBasis(side))
 
 
-@pytest.mark.parametrize("kind", ["dense", "identity", "dct", "dft2_haar"])
+_KINDS = ["dense", "identity", "dct", "dft2_haar", "dense_haar"]
+
+
+@pytest.mark.parametrize("kind", _KINDS)
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
 def test_adjoint_identity_property(kind, data, seed):
@@ -258,8 +266,8 @@ def test_adjoint_identity_property(kind, data, seed):
 
 def _sparse_block(rng, data, rows, k):
     """A rows x k Gaussian block whose number of nonzero rows is drawn at
-    most rows/4 or above it, so a dense apply lands on both sides of its
-    gather rule."""
+    most rows/4 or above it, so a dense apply gathers from a few of the
+    columns of H up to all of them."""
     nonzero = data.draw(st.one_of(st.integers(0, rows // 4),
                                   st.integers(rows // 4 + 1, rows)),
                         label="nonzero rows")
@@ -269,7 +277,7 @@ def _sparse_block(rng, data, rows, k):
     return block
 
 
-@pytest.mark.parametrize("kind", ["dense", "identity", "dct", "dft2_haar"])
+@pytest.mark.parametrize("kind", _KINDS)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), k=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
 def test_block_calls_match_vector_calls(kind, data, k, seed):
@@ -294,23 +302,40 @@ def test_block_calls_match_vector_calls(kind, data, k, seed):
             assert out.tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("shape,k,gathered", [
-    ((200, 512), 128, True),   # 4 nonzero rows = m: the gather rule admits it
-    ((200, 512), 129, False),
-    ((160, 624), 3, True),     # no size gate: 99,840 entries gather
-    ((8, 12), 3, True),        # nor does a small matrix
-    ((8, 12), 4, False),
-], ids=["rows-at-gate", "rows-over-gate", "below-old-size-gate", "small",
-        "small-over-gate"])
-def test_dense_unit_columns_give_matrix_columns(shape, k, gathered):
-    """A block of unit columns e_j, in any column order, gives H[:, J] byte
-    for byte on both sides of the gather rule."""
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), k=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_composed_gram_solve_is_the_samplers(data, k, seed):
+    """Over a sampler whose rows are not orthonormal, the composed operator's
+    gram solve of a vector or a block is the sampler's byte for byte, under
+    the same shape rule."""
+    rng = np.random.default_rng(seed)
+    op = _draw_operator("dense_haar", data, rng)
+    assert not op.rows_orthonormal
+    block = rng.standard_normal((op.n_rows, k))
+    for b in (block[:, 0].copy(), block):
+        assert op.gram_solve(b).tobytes() == op.sampling.gram_solve(b).tobytes()
+    with pytest.raises(InputError, match="gram_solve expects"):
+        op.gram_solve(np.ones(op.n_rows + 1))
+
+
+@pytest.mark.parametrize("shape,k", [
+    ((200, 512), 128),   # 4 nonzero rows = m: the old m/4 gate
+    ((200, 512), 129),   # one row past it
+    ((160, 624), 3),     # 99,840 entries: below the old size gate
+    ((8, 12), 3),
+    ((8, 12), 12),       # every row nonzero
+], ids=["rows-at-gate", "rows-over-old-gate", "below-old-size-gate", "small",
+        "small-all-rows"])
+def test_dense_unit_columns_give_matrix_columns(shape, k):
+    """A block of unit columns e_j, in any column order, reads only the k
+    columns of H at its nonzero rows and gives H[:, J] byte for byte, however
+    many rows are nonzero."""
     op, full = _logged_operator(shape, sum(shape) + k)
     columns = np.random.default_rng(k).choice(shape[1], size=k, replace=False)
     unit = np.zeros((shape[1], k))
     unit[columns, np.arange(k)] = 1.0
     out = op.apply(unit)
-    assert op.matrix.widths == [k if gathered else shape[1]]
+    assert op.matrix.widths == [k]
     assert out.tobytes() == full[:, columns].tobytes()
 
 

@@ -387,7 +387,9 @@ def test_gram_weighted_helpers_reject_non_finite_y(bench_dct_operator, kind,
     weighted_error,
     lambda op, y, s: empirical_bayes_estimate(op, y, ParamEstimate(s, 1.0, 2)),
     lambda op, y, s: ecme_step(op, y, ParamEstimate(s, 1.0, 2)),
-], ids=["sigma2_hat", "weighted_error", "empirical_bayes_estimate", "ecme_step"])
+    lambda op, y, s: support(s),
+], ids=["sigma2_hat", "weighted_error", "empirical_bayes_estimate", "ecme_step",
+        "support"])
 @pytest.mark.parametrize("k", [1, 3], ids=["column", "block"])
 def test_signal_helpers_reject_2d_signals(toy_operator, helper, k):
     # apply takes an m x k block, so a 2-D signal must be refused before it:
@@ -505,9 +507,9 @@ class FullProductDenseOperator(DenseOperator):
                          ids=["d200-1", "d200-2", "d800-3"])
 def test_solvers_match_full_product_path(m, n, r, seed):
     """Both sizes run the solvers' column cache, whose block applies of unit
-    columns gather their rows when at most m/4 are nonzero.  Gathered or
-    not, a product of unit columns is exact, so every run is byte-identical
-    to the full product's."""
+    columns gather the columns of H at their nonzero rows.  A product of
+    unit columns is exact either way, so every run is byte-identical to the
+    full product's."""
     inst = random_instance(m, n, r, 0.0, seed)
     full = FullProductDenseOperator(inst.operator.matrix)
     _assert_solvers_byte_identical(inst.operator, full, inst.y, r, adore=m == 500)
@@ -520,6 +522,15 @@ def test_param_estimate_invariants():
         ParamEstimate(np.array([1.0, 2.0]), 0.0, 1)  # too dense
     with pytest.raises(InputError):
         ParamEstimate(np.zeros(2), -0.5, 1)  # negative variance
+
+
+def test_param_estimate_keeps_its_own_signal():
+    # a later write to the caller's array must not reach the frozen estimate
+    s = np.zeros(3)
+    estimate = ParamEstimate(s, 0.0, 1)
+    s[:] = [1.0, 2.0, 3.0]
+    assert np.array_equal(estimate.s, np.zeros(3))
+    assert np.count_nonzero(estimate.s) <= estimate.r
 
 
 def test_stopping_rule_validation():
