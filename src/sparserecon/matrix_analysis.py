@@ -22,7 +22,10 @@ eigenvalues in one ``eigvalsh`` call, and the brute-force ML oracle
 column subsets S by lambda_min(G_S) = sigma_min(H_S)^2, with a margin for
 the rounding of G and ``eigvalsh``, and runs its pivoted-QR rank test only
 on the subsets the screen cannot clear, so it returns what that test alone
-would.
+would.  It goes up from size 1 until the next level would take it past
+C(m, N) subsets, then screens the N-subsets alone: when the screen clears
+them all, every smaller subset lies inside a cleared one and the spark is
+N+1 with no QR; otherwise the search from below goes on.
 
 Each measure has one body, ``_min_ssq`` or ``_ric``, over a stream of
 support chunks; the exact and the sampled (non-exact) modes differ only in
@@ -81,15 +84,17 @@ def ssq(s, h) -> float:
     return min(max(float(hs @ DenseOperator(h).gram_solve(hs)) / energy, 0.0), 1.0)
 
 
-def _support_chunks(supports, r: int):
+def _support_chunks(supports, r: int, first: int | None = None):
     """Group an iterable of size-r supports, such as a ``combinations``
-    stream, into (<= _CHUNK, r) index arrays."""
-    supports = iter(supports)
+    stream, into (<= _CHUNK, r) index arrays: ``_CHUNK`` rows each, or
+    ``first`` rows and then twice as many each time, up to ``_CHUNK``."""
+    supports, size = iter(supports), first or _CHUNK
     while True:
-        flat = np.fromiter(chain.from_iterable(islice(supports, _CHUNK)), dtype=np.intp)
+        flat = np.fromiter(chain.from_iterable(islice(supports, size)), dtype=np.intp)
         if flat.size == 0:
             return
         yield flat.reshape(-1, r)
+        size = min(2 * size, _CHUNK)
 
 
 def _sampled_supports(m: int, r: int, n_samples: int, seed: int):
@@ -262,15 +267,27 @@ def exact_ml_bruteforce(op, y, r: int, guard: int = BRUTE_FORCE_GUARD) -> ParamE
 def spark(h, guard: int = MIN_SSQ_GUARD) -> int:
     """Smallest number of linearly dependent columns (N+1 if none by size N).
 
-    Rank tests use column-pivoted QR with tolerance tol = 1e-10 * ||H||_2.
-    Searches subset sizes in increasing order and stops at the first
-    dependent subset found.  Subsets S are screened first by lambda_min(G_S)
-    of G = H^T H: it is sigma_min(H_S)^2, and sigma_min(A) <= min |r_ii| for
-    any QR of A, so a subset whose lambda_min(G_S) exceeds (2 tol)^2 plus a
-    bound on its rounding error cannot fail the QR test and is not factorised.
+    Rank tests use column-pivoted QR with tolerance tol = 1e-10 * ||H||_2,
+    and the answer is the smallest size at which that test finds a dependent
+    subset.  Subsets S are screened first by lambda_min(G_S) of G = H^T H:
+    it is sigma_min(H_S)^2, and sigma_min(A) <= min |r_ii| for any QR of A,
+    so a subset whose lambda_min(G_S) exceeds (2 tol)^2 plus a bound on its
+    rounding error cannot fail the QR test and is not factorised.
+
+    Levels below N are searched from below while the subsets tested so far
+    plus the next level number at most C(m, N).  Then level N is screened
+    alone.  If the screen clears every N-subset, the answer is N+1 with no
+    QR: every smaller subset S lies inside a cleared N-subset T, and
+    sigma_min(H_S) >= sigma_min(H_T) > 2 tol, so the search from below
+    would pass S too.  Otherwise the search from below goes on.  Level N is
+    screened in chunks that double from one subset, so a matrix of spark
+    <= N ends that screen soon after its first uncleared N-subset.  The
+    matrix must have at least as many columns as rows.
     """
     h = _as_matrix(h)
     n, m = h.shape
+    if m < n:
+        raise InputError(f"not a proper sensing matrix: N={n} exceeds m={m}")
     total = sum(math.comb(m, k) for k in range(1, n + 1))
     if total > _count(guard, "guard", 1):
         raise SizeGuardError(
@@ -280,19 +297,34 @@ def spark(h, guard: int = MIN_SSQ_GUARD) -> int:
     norm = np.linalg.norm(h, 2)
     tol = 1e-10 * norm
     gram = h.T @ h
-    for k in range(1, n + 1):
+
+    def uncleared(k: int, first: int | None = None):
+        """The size-k subsets, in order, that the screen cannot clear."""
         # Margin: forming G rounds entry (i, j) by <= gamma_n |h_i| |h_j|, with
         # gamma_n ~ n eps / 2, so ||G^_S - G_S||_2 <= gamma_n ||H_S||_F^2 <=
         # k gamma_n ||H||^2; eigvalsh adds a backward error <= p(k) eps ||G_S||,
         # p(k) ~ 3 k^2 <= 3 n k.  By Weyl the computed lambda_min(G_S) is within
         # (n k / 2 + 3 n k) eps ||H||^2 < 4 n k eps ||H||^2 of sigma_min(H_S)^2.
         screen = (2.0 * tol) ** 2 + 4.0 * n * k * np.finfo(float).eps * norm ** 2
-        for idx in _support_chunks(combinations(range(m), k), k):
-            for subset in idx[np.linalg.eigvalsh(_blocks(gram, idx))[:, 0] <= screen]:
-                r_factor = scipy.linalg.qr(h[:, subset], mode="r", pivoting=True)[0]
-                if np.count_nonzero(np.abs(np.diag(r_factor)) > tol) < k:
-                    return k
-    return n + 1
+        for idx in _support_chunks(combinations(range(m), k), k, first):
+            yield from idx[np.linalg.eigvalsh(_blocks(gram, idx))[:, 0] <= screen]
+
+    def dependent(k: int) -> bool:
+        for subset in uncleared(k):
+            r_factor = scipy.linalg.qr(h[:, subset], mode="r", pivoting=True)[0]
+            if np.count_nonzero(np.abs(np.diag(r_factor)) > tol) < k:
+                return True
+        return False
+
+    k, tested, budget = 1, 0, math.comb(m, n)
+    while k < n and tested + math.comb(m, k) <= budget:
+        if dependent(k):
+            return k
+        tested += math.comb(m, k)
+        k += 1
+    if next(uncleared(n, 1), None) is None:
+        return n + 1
+    return next((level for level in range(k, n + 1) if dependent(level)), n + 1)
 
 
 def urp(h, guard: int = MIN_SSQ_GUARD) -> bool:

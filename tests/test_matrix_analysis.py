@@ -238,6 +238,58 @@ def test_spark_guard():
         spark(H, guard=1000)
 
 
+@pytest.mark.parametrize("measure", [spark, urp])
+def test_spark_and_urp_refuse_fewer_columns_than_rows(measure):
+    H = np.random.default_rng(0).standard_normal((5, 3))
+    with pytest.raises(InputError, match="N=5 exceeds m=3"):
+        measure(H)
+
+
+def _screened_subsets(monkeypatch):
+    """Record the subsets ``spark`` screens, as (size, count) per run of
+    chunks of one size, and its QR calls."""
+    screened, qr_calls = [], []
+    blocks, qr = matrix_analysis._blocks, scipy.linalg.qr
+
+    def counted_blocks(form, idx):
+        count, k = idx.shape
+        if screened and screened[-1][0] == k:
+            count += screened.pop()[1]
+        screened.append((k, count))
+        return blocks(form, idx)
+
+    def counted_qr(*args, **kwargs):
+        qr_calls.append(args[0].shape)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(matrix_analysis, "_blocks", counted_blocks)
+    monkeypatch.setattr(scipy.linalg, "qr", counted_qr)
+    return screened, qr_calls
+
+
+def test_spark_proves_full_spark_from_the_top_level(monkeypatch):
+    """Levels 1-3 (12 + 66 + 220 subsets) fit the budget of C(12, 8) = 495,
+    level 4 would not; level 8 (495 subsets) is then screened alone, clears,
+    and proves spark 9 with no QR: 793 subsets, not the 3,796 of levels 1-8."""
+    screened, qr_calls = _screened_subsets(monkeypatch)
+    H = np.random.default_rng(9).standard_normal((8, 12))
+    assert spark(H) == 9
+    assert screened == [(1, 12), (2, 66), (3, 220), (8, 495)]
+    assert qr_calls == []
+
+
+def test_spark_searches_below_the_top_within_the_budget(monkeypatch):
+    """A partial DCT of spark 5 <= N = 6: the levels screened before the top
+    hold at most C(12, 6) subsets, the top-level screen stops before the end
+    of its level, and the search from below then finds 5."""
+    screened, _ = _screened_subsets(monkeypatch)
+    H = partial_dct_matrix(12, [0, 1, 2, 3, 6, 9])
+    assert spark(H) == 5 == _loop_spark(H)
+    assert [k for k, _ in screened] == [1, 2, 3, 4, 6, 5]
+    assert sum(count for _, count in screened[:4]) <= math.comb(12, 6)
+    assert screened[4][1] < math.comb(12, 6)
+
+
 # --------------------------------------------------- eigenvalue range (URP)
 
 def test_restricted_eigenvalue_bounds_urp():
@@ -450,8 +502,9 @@ def _attained(h, measured, support_set, value):
 @st.composite
 def _sensing_matrices(draw, kinds=("gaussian", "integer", "dct", "near")):
     """Gaussian, integer with duplicate or dependent columns, DCT rows, or
-    Gaussian with one column a combination of two others plus delta * noise,
-    delta log-uniform in [1e-13, 1e-6]: the spark screen's margin lies there."""
+    Gaussian with one column a combination of two others ("near") or of N-1
+    others ("near-top") plus delta * noise, delta log-uniform in
+    [1e-13, 1e-6]: the spark screen's margin lies there."""
     kind = draw(st.sampled_from(kinds))
     n = draw(st.integers(2, 6))
     m = draw(st.integers(n + 1, n + 5))
@@ -463,6 +516,12 @@ def _sensing_matrices(draw, kinds=("gaussian", "integer", "dct", "near")):
         target, first, second = rng.choice(m, size=3, replace=False)
         h[:, target] = rng.standard_normal() * h[:, first] \
             + rng.standard_normal() * h[:, second] \
+            + 10.0 ** rng.uniform(-13, -6) * rng.standard_normal(n)
+        return h
+    if kind == "near-top":
+        h = rng.standard_normal((n, m))
+        target, *others = rng.choice(m, size=n, replace=False)
+        h[:, target] = h[:, others] @ rng.standard_normal(n - 1) \
             + 10.0 ** rng.uniform(-13, -6) * rng.standard_normal(n)
         return h
     if kind == "dct":
@@ -523,6 +582,16 @@ def test_spark_screen_matches_qr_oracle_at_any_scale(h, log_scale):
     or the tolerance dwarfs it (small scale)."""
     h = h * 10.0 ** log_scale
     assert spark(h) == _loop_spark(h)
+
+
+@settings(max_examples=200, deadline=None)
+@given(h=_sensing_matrices(kinds=("near-top",)), log_scale=st.floats(-8.0, 8.0))
+def test_spark_top_level_fallback_matches_qr_oracle_at_any_scale(h, log_scale):
+    """A column within delta of the span of N-1 others fails the level-N
+    screen, so the search from below decides between N and N+1, as the QR
+    rule alone would."""
+    h = h * 10.0 ** log_scale
+    assert spark(h) == _loop_spark(h) in (h.shape[0], h.shape[0] + 1)
 
 
 def _two_pass_certify(h, r_max, guard=MIN_SSQ_GUARD):
