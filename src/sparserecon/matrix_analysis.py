@@ -16,16 +16,21 @@ library's one gram weighting; for rows that operator detects as orthonormal
 (max |H H^T - I| <= 1e-10) it is H^T H exactly.  Six searches share one
 gather, ``_blocks``, of the r x r principal blocks at a chunk of ``_CHUNK``
 supports from an m x m form formed once, Q or G = H^T H, so memory beyond
-the form is bounded per chunk: the measures and the spark screen take their
-eigenvalues in one ``eigvalsh`` call, and the brute-force ML oracle
-``exact_ml_bruteforce`` solves them in one call.  The spark search screens
-column subsets S by lambda_min(G_S) = sigma_min(H_S)^2, with a margin for
-the rounding of G and ``eigvalsh``, and runs its pivoted-QR rank test only
-on the subsets the screen cannot clear, so it returns what that test alone
-would.  It goes up from size 1 until the next level would take it past
-C(m, N) subsets, then screens the N-subsets alone: when the screen clears
-them all, every smaller subset lies inside a cleared one and the spark is
-N+1 with no QR; otherwise the search from below goes on.
+the form is bounded per chunk.  One screen, ``_cleared``, proves a chunk's
+blocks less a shift positive definite by a batched LDL^T elimination of
+their lower triangles.  Min-SSQ drops the supports it clears at the running
+minimum plus a rounding margin, and takes the rest's eigenvalues in one
+``eigvalsh`` call, so its value and support are those of the full search;
+RIC takes every chunk's eigenvalues, and the brute-force ML oracle
+``exact_ml_bruteforce`` solves the blocks in one call.  The spark search
+screens column subsets S by lambda_min(G_S) = sigma_min(H_S)^2, with a
+margin for the rounding of G and of the elimination, and runs its
+pivoted-QR rank test only on the subsets the screen cannot clear, so it
+returns what that test alone would.  It goes up from size 1 until the next
+level would take it past C(m, N) subsets, then screens the N-subsets alone:
+when the screen clears them all, every smaller subset lies inside a cleared
+one and the spark is N+1 with no QR; otherwise the search from below goes
+on, and resumes level N where the screen stopped.
 
 Each measure has one body, ``_min_ssq`` or ``_ric``, over a stream of
 support chunks; the exact and the sampled (non-exact) modes differ only in
@@ -113,13 +118,33 @@ def _sampled_supports(m: int, r: int, n_samples: int, seed: int):
 
 
 def _blocks(form: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """The (chunk, r, r) principal blocks of an m x m form at supports ``idx``."""
-    m = form.shape[0]
-    return form.ravel()[idx[:, :, None] * m + idx[:, None, :]]
+    """The (chunk, r, r) principal blocks of an m x m form at supports ``idx``,
+    a view of a contiguous (r, r, chunk) gather: entry (i, j) of every block
+    is one row, which makes the gather and ``_cleared``'s elimination fast."""
+    cols = np.ascontiguousarray(idx.T)
+    return form.take(cols[:, None, :] * form.shape[0] + cols[None, :, :]).transpose(2, 0, 1)
 
 
-def _best_support(form: np.ndarray, chunks, score,
-                  stop_at: float = -np.inf) -> tuple[float, tuple[int, ...]]:
+def _cleared(form: np.ndarray, idx: np.ndarray, shift: float) -> np.ndarray:
+    """True where the r x r principal block of an m x m form at a support,
+    less ``shift`` * I, has an LDL^T elimination, without pivoting, whose
+    pivots are all positive.  Each step reads only the pivot and the column
+    below it, so only a block's diagonal and lower triangle are read, as
+    ``eigvalsh`` reads them: a form that rounding left slightly unsymmetric
+    is screened as the matrix ``eigvalsh`` sees."""
+    a = _blocks(form, idx).transpose(1, 2, 0)
+    diagonal = np.arange(idx.shape[1])
+    a[diagonal, diagonal] -= shift
+    # a failed pivot may divide by zero or overflow; its support is not cleared
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for j in range(idx.shape[1] - 1):
+            column = a[j + 1:, j]
+            a[j + 1:, j + 1:] -= (column / a[j, j])[:, None] * column
+    return np.all(a[diagonal, diagonal] > 0.0, axis=0)
+
+
+def _best_support(form: np.ndarray, chunks, score, stop_at: float = -np.inf,
+                  cleared=None) -> tuple[float, tuple[int, ...]]:
     """Minimise ``score`` over the r x r principal blocks of an m x m form.
 
     Supports stream as (chunk, r) index arrays of at most ``_CHUNK`` rows
@@ -128,9 +153,17 @@ def _best_support(form: np.ndarray, chunks, score,
     one stacked ``eigvalsh``, to one value per support.  Ties go to the
     first support in stream order.  The search stops at the first support
     scoring at or below ``stop_at``, which is then the one returned.
+    Given ``cleared(idx, best)``, true at supports whose score cannot fall
+    below a finite running best, those supports skip ``eigvalsh``; each
+    block's eigenvalues do not depend on the others in its call, so the
+    result is the one without it.
     """
     best, best_support = np.inf, ()
     for idx in chunks:
+        if cleared is not None and best < np.inf:
+            idx = idx[~cleared(idx, best)]
+            if not idx.size:
+                continue
         values = score(np.linalg.eigvalsh(_blocks(form, idx)))
         hits = np.flatnonzero(values <= stop_at)
         pos = hits[0] if hits.size else np.argmin(values)
@@ -148,18 +181,43 @@ def _checked_level(h, r: int, name: str = "sparsity level r") -> np.ndarray:
     return h
 
 
+def _ssq_margin(r: int, size: float) -> float:
+    """How far past a shift s the computed lambda_min of an r x r block that
+    ``_cleared`` clears at s may fall, for entries of the block and s at most
+    ``size`` >= 1 in magnitude; min-SSQ screens at the running best plus it."""
+    # Let B be the stored block (its lower triangle) and u = eps / 2.
+    # eigvalsh returns lambda_min(B + E), ||E||_2 <= p(r) eps ||B||_2 with
+    # p(r) ~ 3 r^2 and ||B||_2 <= r size.  An elimination of C = B - s I with
+    # positive pivots is exact for C + F, |F| <= gamma_{r+1} |L||D||L^T|
+    # (Higham, Thm 10.5, for Cholesky), whose entries are at most
+    # (1 + O(u)) max c_ii <= 2 size, so ||F||_2 <= r gamma_{r+1} 2 size ~
+    # r (r + 1) eps size; subtracting s from the diagonal and rounding the
+    # shift each add <= eps size.  C + F is positive definite, so the computed
+    # lambda_min of B exceeds s - (3 r^3 + r (r + 1) + 2) eps size, and
+    # 5 r^3 eps size covers that for r >= 2.  At r = 1 both are exact: the
+    # eigenvalue is the entry, and one subtraction gets its sign right.
+    return 5.0 * r ** 3 * np.finfo(float).eps * size
+
+
 def _min_ssq(h: np.ndarray, r: int, supports, stop_at: float = -np.inf
              ) -> tuple[float, tuple[int, ...]]:
     """Minimum r-SSQ, clamped to [0, 1], over the blocks of Q = H^T (H H^T)^{-1} H
     at the support chunks ``supports()`` streams.  It is called before Q is
     formed, and not at all when r > N: any r columns are then dependent and
     the first r are returned.  A support scoring at or below ``stop_at``
-    counts as exactly 0 and ends the search."""
+    counts as exactly 0 and ends the search.  Once a chunk has set a
+    running minimum, ``eigvalsh`` runs only on the supports that ``_cleared``
+    cannot clear at that minimum plus a rounding margin, which are the only
+    ones whose computed lambda_min could be below it; the first chunk is
+    taken whole, so streams whose chunks start at one support prune most."""
     if r > h.shape[0]:
         return 0.0, tuple(range(r))
     supports = supports()
     q = h.T @ DenseOperator(h).gram_solve(h)
-    best, best_support = _best_support(q, supports, lambda eigs: eigs[:, 0], stop_at)
+    size = max(1.0, float(np.abs(q).max()))
+    best, best_support = _best_support(
+        q, supports, lambda eigs: eigs[:, 0], stop_at,
+        lambda idx, best: _cleared(q, idx, best + _ssq_margin(r, size + abs(best))))
     if best <= stop_at:
         best = 0.0
     return min(max(best, 0.0), 1.0), best_support
@@ -181,9 +239,12 @@ def min_ssq(h, r: int, guard: int = MIN_SSQ_GUARD) -> tuple[float, tuple[int, ..
     eigenvalue of H_A^T (H H^T)^{-1} H_A.  Stops early once an exactly
     singular restriction is found (the minimum cannot drop below zero); the
     support returned is then the lexicographically first singular one.
+    Chunks of supports double from one, and a support whose block provably
+    cannot beat the minimum so far skips its eigenvalue call, so the value
+    and support are those of taking every support's eigenvalues.
     """
     h = _checked_level(h, r)
-    return _min_ssq(h, r, lambda: _support_chunks(_exact_supports(h.shape[1], r, guard), r),
+    return _min_ssq(h, r, lambda: _support_chunks(_exact_supports(h.shape[1], r, guard), r, 1),
                     _ZERO_EIG_TOL)
 
 
@@ -269,20 +330,23 @@ def spark(h, guard: int = MIN_SSQ_GUARD) -> int:
 
     Rank tests use column-pivoted QR with tolerance tol = 1e-10 * ||H||_2,
     and the answer is the smallest size at which that test finds a dependent
-    subset.  Subsets S are screened first by lambda_min(G_S) of G = H^T H:
-    it is sigma_min(H_S)^2, and sigma_min(A) <= min |r_ii| for any QR of A,
-    so a subset whose lambda_min(G_S) exceeds (2 tol)^2 plus a bound on its
-    rounding error cannot fail the QR test and is not factorised.
+    subset.  Subsets S are screened first by ``_cleared`` on G = H^T H: an
+    LDL^T elimination of G_S less (2 tol)^2 plus a bound on its rounding
+    whose pivots are all positive proves lambda_min(G_S) = sigma_min(H_S)^2
+    > (2 tol)^2, and sigma_min(A) <= min |r_ii| for any QR of A, so such a
+    subset cannot fail the QR test and is not factorised.
 
     Levels below N are searched from below while the subsets tested so far
     plus the next level number at most C(m, N).  Then level N is screened
     alone.  If the screen clears every N-subset, the answer is N+1 with no
     QR: every smaller subset S lies inside a cleared N-subset T, and
     sigma_min(H_S) >= sigma_min(H_T) > 2 tol, so the search from below
-    would pass S too.  Otherwise the search from below goes on.  Level N is
-    screened in chunks that double from one subset, so a matrix of spark
-    <= N ends that screen soon after its first uncleared N-subset.  The
-    matrix must have at least as many columns as rows.
+    would pass S too.  Otherwise the search from below goes on, and at
+    level N resumes at the first subset the screen left uncleared, so no
+    N-subset is screened twice.  Level N is screened in chunks that double
+    from one subset, so a matrix of spark <= N ends that screen soon after
+    its first uncleared N-subset.  The matrix must have at least as many
+    columns as rows.
     """
     h = _as_matrix(h)
     n, m = h.shape
@@ -302,29 +366,39 @@ def spark(h, guard: int = MIN_SSQ_GUARD) -> int:
         """The size-k subsets, in order, that the screen cannot clear."""
         # Margin: forming G rounds entry (i, j) by <= gamma_n |h_i| |h_j|, with
         # gamma_n ~ n eps / 2, so ||G^_S - G_S||_2 <= gamma_n ||H_S||_F^2 <=
-        # k gamma_n ||H||^2; eigvalsh adds a backward error <= p(k) eps ||G_S||,
-        # p(k) ~ 3 k^2 <= 3 n k.  By Weyl the computed lambda_min(G_S) is within
-        # (n k / 2 + 3 n k) eps ||H||^2 < 4 n k eps ||H||^2 of sigma_min(H_S)^2.
+        # k gamma_n ||H||^2.  An elimination of G^_S - screen I with positive
+        # pivots is exact for a perturbation of norm <= k gamma_{k+1} max g_ii
+        # ~ k (k + 1) eps ||H||^2 / 2 (Higham, Thm 10.5, for Cholesky), and
+        # subtracting the screen from the diagonal adds <= eps ||H||^2 / 2.
+        # By Weyl, clearing S proves sigma_min(H_S)^2 > screen minus
+        # (n k / 2 + k (k + 1) / 2 + 1 / 2) eps ||H||^2 >= screen minus
+        # 2 n k eps ||H||^2, which the 4 n k eps ||H||^2 below covers.
         screen = (2.0 * tol) ** 2 + 4.0 * n * k * np.finfo(float).eps * norm ** 2
         for idx in _support_chunks(combinations(range(m), k), k, first):
-            yield from idx[np.linalg.eigvalsh(_blocks(gram, idx))[:, 0] <= screen]
+            yield from idx[~_cleared(gram, idx, screen)]
 
-    def dependent(k: int) -> bool:
-        for subset in uncleared(k):
+    def dependent(subsets) -> bool:
+        """Whether the QR test finds one of ``subsets`` dependent."""
+        for subset in subsets:
             r_factor = scipy.linalg.qr(h[:, subset], mode="r", pivoting=True)[0]
-            if np.count_nonzero(np.abs(np.diag(r_factor)) > tol) < k:
+            if np.count_nonzero(np.abs(np.diag(r_factor)) > tol) < len(subset):
                 return True
         return False
 
     k, tested, budget = 1, 0, math.comb(m, n)
     while k < n and tested + math.comb(m, k) <= budget:
-        if dependent(k):
+        if dependent(uncleared(k)):
             return k
         tested += math.comb(m, k)
         k += 1
-    if next(uncleared(n, 1), None) is None:
+    top = uncleared(n, 1)
+    first = next(top, None)
+    if first is None:
         return n + 1
-    return next((level for level in range(k, n + 1) if dependent(level)), n + 1)
+    for level in range(k, n):
+        if dependent(uncleared(level)):
+            return level
+    return n if dependent(chain([first], top)) else n + 1
 
 
 def urp(h, guard: int = MIN_SSQ_GUARD) -> bool:

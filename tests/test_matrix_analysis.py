@@ -249,20 +249,20 @@ def _screened_subsets(monkeypatch):
     """Record the subsets ``spark`` screens, as (size, count) per run of
     chunks of one size, and its QR calls."""
     screened, qr_calls = [], []
-    blocks, qr = matrix_analysis._blocks, scipy.linalg.qr
+    cleared, qr = matrix_analysis._cleared, scipy.linalg.qr
 
-    def counted_blocks(form, idx):
+    def counted_cleared(form, idx, shift):
         count, k = idx.shape
         if screened and screened[-1][0] == k:
             count += screened.pop()[1]
         screened.append((k, count))
-        return blocks(form, idx)
+        return cleared(form, idx, shift)
 
     def counted_qr(*args, **kwargs):
         qr_calls.append(args[0].shape)
         return qr(*args, **kwargs)
 
-    monkeypatch.setattr(matrix_analysis, "_blocks", counted_blocks)
+    monkeypatch.setattr(matrix_analysis, "_cleared", counted_cleared)
     monkeypatch.setattr(scipy.linalg, "qr", counted_qr)
     return screened, qr_calls
 
@@ -288,6 +288,72 @@ def test_spark_searches_below_the_top_within_the_budget(monkeypatch):
     assert [k for k, _ in screened] == [1, 2, 3, 4, 6, 5]
     assert sum(count for _, count in screened[:4]) <= math.comb(12, 6)
     assert screened[4][1] < math.comb(12, 6)
+
+
+def test_spark_resumes_the_top_level_where_its_screen_stopped(monkeypatch):
+    """Column 0 of an 8x12 Gaussian is a combination of columns 5-11, so the
+    spark is 8.  The top-level screen stops after its first uncleared
+    8-subset, levels 4-7 pass, and level 8 resumes there: no more than the
+    C(12, 8) = 495 level-8 subsets are screened in all."""
+    rng = np.random.default_rng(9)
+    H = rng.standard_normal((8, 12))
+    H[:, 0] = H[:, 5:] @ rng.standard_normal(7)
+    screened, _ = _screened_subsets(monkeypatch)
+    assert spark(H) == 8 == _loop_spark(H)
+    assert [k for k, _ in screened][:8] == [1, 2, 3, 8, 4, 5, 6, 7]
+    assert sum(count for k, count in screened if k == 8) <= math.comb(12, 8)
+
+
+# ---------------------------------------------------- the positive-pivot screen
+
+def test_cleared_supports_have_lambda_min_past_the_margin():
+    """Batches of near-singular symmetric blocks, some stored with an upper
+    triangle that differs from the lower one, against a shift near their
+    lambda_min: wherever ``_cleared`` holds, ``eigvalsh`` of the stored block
+    (which reads its lower triangle) exceeds the shift less the min-SSQ
+    margin.  The draws put lambda_min within eight margins of the shift, so
+    both verdicts and clears inside the margin band occur."""
+    rng = np.random.default_rng(27)
+    count, verdicts, in_band = 32, [], 0
+    for trial in range(600):
+        r = 1 + trial % 6
+        scale = 10.0 ** rng.uniform(-6.0, 6.0)
+        shift = scale * rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-16.0, -1.0)
+        spread = matrix_analysis._ssq_margin(r, max(1.0, scale) + abs(shift))
+        smallest = shift + spread * rng.uniform(-8.0, 8.0, size=count)
+        others = scale * rng.uniform(0.5, 1.0, size=(count, r - 1))
+        basis = np.linalg.qr(rng.standard_normal((count, r, r)))[0]
+        eigenvalues = np.column_stack([smallest, others])
+        blocks = (basis * eigenvalues[:, None, :]) @ basis.transpose(0, 2, 1)
+        if trial % 2:
+            upper = np.triu(rng.standard_normal((count, r, r)), 1)
+            blocks += upper * scale * 10.0 ** rng.uniform(-12.0, -2.0)
+        size = max(1.0, float(np.abs(blocks).max())) + abs(shift)
+        margin = matrix_analysis._ssq_margin(r, size)
+        form = scipy.linalg.block_diag(*blocks)
+        got = matrix_analysis._cleared(form, np.arange(count * r).reshape(count, r), shift)
+        computed = np.linalg.eigvalsh(blocks)[:, 0]
+        assert np.all(computed[got] > shift - margin), (trial, r)
+        verdicts.extend(got)
+        in_band += np.count_nonzero(got & (computed < shift + margin))
+    assert any(verdicts) and not all(verdicts) and in_band > 0
+
+
+def test_min_ssq_screen_leaves_few_supports_to_eigvalsh(bench_dct_matrix, monkeypatch):
+    """Of the C(32, 4) = 35,960 level-4 supports of the golden matrix, the
+    screen leaves no more than 100 to ``eigvalsh``, and the value and support
+    are the unscreened search's, bit for bit."""
+    sizes, eigvalsh = [], np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        sizes.append(len(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    got = _bits(min_ssq, bench_dct_matrix, 4)
+    monkeypatch.undo()
+    assert sum(sizes) <= 100
+    assert got == _bits(_reference_min_ssq, bench_dct_matrix, 4)
 
 
 # --------------------------------------------------- eigenvalue range (URP)
@@ -534,6 +600,26 @@ def _sensing_matrices(draw, kinds=("gaussian", "integer", "dct", "near")):
         h[:, target] = h[:, first] - h[:, second]
     assume(np.linalg.matrix_rank(h) == n)
     return h
+
+
+@st.composite
+def _ill_conditioned_matrices(draw):
+    """H = U diag(sigma) V^T with m >= n (square included), cond(H H^T)
+    log-uniform in [1e4, 1e14], sometimes one column a copy of another, and
+    scaled by 10^[-6, 6]: max |Q - Q^T| of the computed
+    Q = H^T (H H^T)^{-1} H then reaches about 1e-10, far past the min-SSQ
+    screen's margin."""
+    n = draw(st.integers(2, 6))
+    m = draw(st.integers(n, n + 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    log_cond = draw(st.floats(4.0, 14.0))
+    left = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    right = np.linalg.qr(rng.standard_normal((m, n)))[0]
+    h = (left * 10.0 ** np.linspace(0.0, -log_cond / 2.0, n)) @ right.T
+    if m > n and draw(st.booleans()):
+        target, source = rng.choice(m, size=2, replace=False)
+        h[:, target] = h[:, source]
+    return h * 10.0 ** draw(st.floats(-6.0, 6.0))
 
 
 @settings(max_examples=60, deadline=None)
@@ -853,6 +939,27 @@ def test_measures_byte_identical_to_reference(h, data, guard, n_samples, seed):
                 mock.patch.object(matrix_analysis, "ric", _reference_ric):
             expected = _certificate_text(h, r_max, guard, _reference_to_json_dict)
         assert got == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(h=_ill_conditioned_matrices(), data=st.data(), seed=st.integers(0, 2**16))
+def test_screened_searches_byte_identical_on_ill_conditioned_rows(h, data, seed):
+    """The min-SSQ screen drops only supports that cannot change the
+    unscreened search's value or support, and the spark screen only subsets
+    the QR rule cannot fail, also when H H^T is near singular.  The sampled
+    search runs in chunks of 8, so its screen runs from the second chunk."""
+    r = data.draw(st.integers(1, min(h.shape[1], 4)), label="r")
+    assert _bits(min_ssq, h, r) == _bits(_reference_min_ssq, h, r)
+    with mock.patch.object(matrix_analysis, "_CHUNK", 8):
+        assert _bits(min_ssq_sampled, h, r, 40, seed) \
+            == _bits(_reference_min_ssq_sampled, h, r, 40, seed)
+    for r_max in range(1, 4):
+        got = _certificate_text(h, r_max, MIN_SSQ_GUARD, MatrixCertificate.to_json_dict)
+        with mock.patch.object(matrix_analysis, "min_ssq", _reference_min_ssq), \
+                mock.patch.object(matrix_analysis, "ric", _reference_ric):
+            expected = _certificate_text(h, r_max, MIN_SSQ_GUARD, _reference_to_json_dict)
+        assert got == expected
+    assert spark(h) == _loop_spark(h)
 
 
 @pytest.mark.parametrize("level", [1.5, np.float64(2.0)], ids=["float", "numpy-float"])
