@@ -21,7 +21,9 @@ blocks less a shift positive definite by a batched LDL^T elimination of
 their lower triangles.  Min-SSQ drops the supports it clears at the running
 minimum plus a rounding margin, and takes the rest's eigenvalues in one
 ``eigvalsh`` call, so its value and support are those of the full search;
-RIC takes every chunk's eigenvalues, and the brute-force ML oracle
+exact min-SSQ screens from its first chunk at the lambda_min of one support
+grown greedily, ``_greedy_support``, which its stream holds.  RIC takes
+every chunk's eigenvalues, and the brute-force ML oracle
 ``exact_ml_bruteforce`` solves the blocks in one call.  The spark search
 screens column subsets S by lambda_min(G_S) = sigma_min(H_S)^2, with a
 margin for the rounding of G and of the elimination, and runs its
@@ -34,8 +36,9 @@ on, and resumes level N where the screen stopped.
 
 Each measure has one body, ``_min_ssq`` or ``_ric``, over a stream of
 support chunks; the exact and the sampled (non-exact) modes differ only in
-that stream: every support behind the size guard, grouped by
-``_support_chunks``, or the blocks ``_sampled_supports`` draws.
+that stream: every support behind the size guard, in lexicographic chunks
+that ``_support_chunks`` unranks in numpy from the table of one size
+smaller, or the blocks ``_sampled_supports`` draws.
 Sampled modes exist for matrices too large for enumeration; they are
 labeled non-exact and never feed certificates.
 
@@ -49,9 +52,9 @@ is built from its fields, with two recovery flags per sparsity level:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, is_dataclass
-from itertools import chain, combinations, islice
 
 import numpy as np
 import scipy.linalg
@@ -69,13 +72,14 @@ _CHUNK = 1024
 
 
 def _exact_supports(m: int, r: int, guard: int):
-    """Every size-r support in lexicographic order, behind the size guard."""
+    """Every size-r support in lexicographic order, behind the size guard,
+    as ``_support_chunks`` streams them."""
     if math.comb(m, r) > _count(guard, "guard", 1):
         raise SizeGuardError(
             f"enumerating C({m},{r})={math.comb(m, r)} supports exceeds the "
             f"guard of {guard}; use the sampled (non-exact) mode instead"
         )
-    return combinations(range(m), r)
+    return _support_chunks(m, r)
 
 
 def ssq(s, h) -> float:
@@ -89,17 +93,58 @@ def ssq(s, h) -> float:
     return min(max(float(hs @ DenseOperator(h).gram_solve(hs)) / energy, 0.0), 1.0)
 
 
-def _support_chunks(supports, r: int, first: int | None = None):
-    """Group an iterable of size-r supports, such as a ``combinations``
-    stream, into (<= _CHUNK, r) index arrays: ``_CHUNK`` rows each, or
-    ``first`` rows and then twice as many each time, up to ``_CHUNK``."""
-    supports, size = iter(supports), first or _CHUNK
-    while True:
-        flat = np.fromiter(chain.from_iterable(islice(supports, size)), dtype=np.intp)
-        if flat.size == 0:
-            return
-        yield flat.reshape(-1, r)
-        size = min(2 * size, _CHUNK)
+@functools.lru_cache
+def _lex_ends(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """For the lexicographic table of k-subsets of range(n): the rank at
+    which the rows led by each a = 0..n-k end, C(n, k) - C(n - 1 - a, k), and
+    those ends less C(n - 1, k - 1), as read-only arrays.  Cached, since
+    every window of a level and every stream of the same shape reads them."""
+    ends = np.array([math.comb(n, k) - math.comb(n - 1 - a, k) for a in range(n - k + 1)],
+                    dtype=np.intp)
+    shifts = ends - math.comb(n - 1, k - 1)
+    ends.flags.writeable = shifts.flags.writeable = False
+    return ends, shifts
+
+
+def _lex_rows(n: int, k: int, tails: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Rows [lo, hi) of the lexicographic table of k-subsets of range(n),
+    from ``tails``: the (k-1)-subsets of range(n - 1) in that order, each
+    entry plus one, in the last k - 1 of its columns.  The rows share tails'
+    width, and a row's subset fills its last k columns.
+
+    The rows led by a join a to the (k-1)-subsets of range(a + 1, n): the
+    tails whose first entry exceeds a, which lexicographic order puts last,
+    C(n - 1 - a, k - 1) rows ending at row C(n - 1, k - 1).  So row p is led
+    by the number of ``_lex_ends`` at or below p, and its tail is row
+    p - end + C(n - 1, k - 1) for its lead's end.
+    """
+    ends, shifts = _lex_ends(n, k)
+    ranks = np.arange(lo, hi)
+    lead = ends.searchsorted(ranks, "right")
+    out = tails.take(ranks - shifts[lead], axis=0)
+    out[:, -k] = lead
+    return out
+
+
+def _support_chunks(m: int, r: int, first: int | None = None):
+    """The size-r subsets of range(m) in lexicographic order, as (<= _CHUNK, r)
+    index arrays: ``_CHUNK`` rows each, or ``first`` rows and then twice as
+    many each time, up to ``_CHUNK``.  Chunks are cut from windows of
+    ``_CHUNK`` rows unranked by ``_lex_rows`` from the table of
+    (r-1)-subsets of range(m - 1), so the stream holds C(m - 1, r - 1) rows
+    and one window, never a whole C(m, r) table."""
+    tails = np.zeros((1, r), dtype=np.intp)
+    for k in range(1, r):
+        tails = _lex_rows(m - r + k, k, tails, 0, math.comb(m - r + k, k))
+        tails += 1
+    total, lo, size = math.comb(m, r), 0, first or _CHUNK
+    start, window = 0, tails[:0]
+    while lo < total:
+        hi = min(lo + size, total)
+        if hi > start + len(window):
+            start, window = lo, _lex_rows(m, r, tails, lo, min(lo + _CHUNK, total))
+        yield window[lo - start:hi - start]
+        lo, size = hi, min(2 * size, _CHUNK)
 
 
 def _sampled_supports(m: int, r: int, n_samples: int, seed: int):
@@ -144,7 +189,8 @@ def _cleared(form: np.ndarray, idx: np.ndarray, shift: float) -> np.ndarray:
 
 
 def _best_support(form: np.ndarray, chunks, score, stop_at: float = -np.inf,
-                  cleared=None) -> tuple[float, tuple[int, ...]]:
+                  cleared=None, seed: np.ndarray | None = None
+                  ) -> tuple[float, tuple[int, ...]]:
     """Minimise ``score`` over the r x r principal blocks of an m x m form.
 
     Supports stream as (chunk, r) index arrays of at most ``_CHUNK`` rows
@@ -153,15 +199,22 @@ def _best_support(form: np.ndarray, chunks, score, stop_at: float = -np.inf,
     one stacked ``eigvalsh``, to one value per support.  Ties go to the
     first support in stream order.  The search stops at the first support
     scoring at or below ``stop_at``, which is then the one returned.
-    Given ``cleared(idx, best)``, true at supports whose score cannot fall
-    below a finite running best, those supports skip ``eigvalsh``; each
-    block's eigenvalues do not depend on the others in its call, so the
-    result is the one without it.
+
+    Given ``cleared(idx, shift)``, true at supports whose score provably
+    exceeds a finite shift, those supports skip ``eigvalsh``.  The shift is
+    the running best, or the score of ``seed`` (a (1, r) support that the
+    stream holds, gathered and scored as the stream scores it) when that is
+    lower, but never below ``stop_at``.  A cleared support then neither
+    ties the stream's minimum, which is at most the seed's score, nor stops
+    the search; each block's eigenvalues do not depend on the others in its
+    call, so the result is the one without the screen.
     """
+    bound = np.inf if seed is None else score(np.linalg.eigvalsh(_blocks(form, seed)))[0]
     best, best_support = np.inf, ()
     for idx in chunks:
-        if cleared is not None and best < np.inf:
-            idx = idx[~cleared(idx, best)]
+        shift = max(min(best, bound), stop_at)
+        if cleared is not None and shift < np.inf:
+            idx = idx[~cleared(idx, shift)]
             if not idx.size:
                 continue
         values = score(np.linalg.eigvalsh(_blocks(form, idx)))
@@ -172,6 +225,25 @@ def _best_support(form: np.ndarray, chunks, score, stop_at: float = -np.inf,
         if hits.size:
             break
     return best, best_support
+
+
+def _greedy_support(q: np.ndarray, r: int) -> np.ndarray:
+    """A size-r support, as a (1, r) index array, whose block of q should
+    have a small lambda_min: the column of least q_jj, then each time the
+    column of least Schur-complement pivot given the columns taken, from an
+    LDL^T elimination of q at those columns.  Any support would do for the
+    callers' results; a good one only lets the screen clear more."""
+    pivots, taken, eliminated = np.diag(q).copy(), np.zeros(len(q), dtype=bool), []
+    # a numerically singular pivot leaves the rest of the choice arbitrary
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(r):
+            free = np.flatnonzero(~taken)
+            j = free[np.argmin(pivots[free])]
+            taken[j] = True
+            column = q[:, j] - sum(w * (w[j] / w_jj) for w, w_jj in eliminated)
+            pivots -= column * (column / column[j])
+            eliminated.append((column, column[j]))
+    return np.flatnonzero(taken)[None]
 
 
 def _checked_level(h, r: int, name: str = "sparsity level r") -> np.ndarray:
@@ -199,17 +271,18 @@ def _ssq_margin(r: int, size: float) -> float:
     return 5.0 * r ** 3 * np.finfo(float).eps * size
 
 
-def _min_ssq(h: np.ndarray, r: int, supports, stop_at: float = -np.inf
-             ) -> tuple[float, tuple[int, ...]]:
+def _min_ssq(h: np.ndarray, r: int, supports, stop_at: float = -np.inf,
+             seeded: bool = False) -> tuple[float, tuple[int, ...]]:
     """Minimum r-SSQ, clamped to [0, 1], over the blocks of Q = H^T (H H^T)^{-1} H
     at the support chunks ``supports()`` streams.  It is called before Q is
     formed, and not at all when r > N: any r columns are then dependent and
     the first r are returned.  A support scoring at or below ``stop_at``
-    counts as exactly 0 and ends the search.  Once a chunk has set a
-    running minimum, ``eigvalsh`` runs only on the supports that ``_cleared``
-    cannot clear at that minimum plus a rounding margin, which are the only
-    ones whose computed lambda_min could be below it; the first chunk is
-    taken whole, so streams whose chunks start at one support prune most."""
+    counts as exactly 0 and ends the search.  ``eigvalsh`` runs only on the
+    supports that ``_cleared`` cannot clear at the screen's shift plus a
+    rounding margin, which are the only ones whose computed lambda_min could
+    be below that shift.  ``seeded`` streams must hold every support: they
+    are screened from their first chunk at the lambda_min of
+    ``_greedy_support``'s support, and others from their second chunk on."""
     if r > h.shape[0]:
         return 0.0, tuple(range(r))
     supports = supports()
@@ -217,7 +290,8 @@ def _min_ssq(h: np.ndarray, r: int, supports, stop_at: float = -np.inf
     size = max(1.0, float(np.abs(q).max()))
     best, best_support = _best_support(
         q, supports, lambda eigs: eigs[:, 0], stop_at,
-        lambda idx, best: _cleared(q, idx, best + _ssq_margin(r, size + abs(best))))
+        lambda idx, shift: _cleared(q, idx, shift + _ssq_margin(r, size + abs(shift))),
+        _greedy_support(q, r) if seeded else None)
     if best <= stop_at:
         best = 0.0
     return min(max(best, 0.0), 1.0), best_support
@@ -239,20 +313,21 @@ def min_ssq(h, r: int, guard: int = MIN_SSQ_GUARD) -> tuple[float, tuple[int, ..
     eigenvalue of H_A^T (H H^T)^{-1} H_A.  Stops early once an exactly
     singular restriction is found (the minimum cannot drop below zero); the
     support returned is then the lexicographically first singular one.
-    Chunks of supports double from one, and a support whose block provably
-    cannot beat the minimum so far skips its eigenvalue call, so the value
-    and support are those of taking every support's eigenvalues.
+    A support grown greedily sets a bound before the first chunk, and a
+    support whose block provably cannot beat the bound or the minimum so
+    far skips its eigenvalue call, so the value and support are those of
+    taking every support's eigenvalues.
     """
     h = _checked_level(h, r)
-    return _min_ssq(h, r, lambda: _support_chunks(_exact_supports(h.shape[1], r, guard), r, 1),
-                    _ZERO_EIG_TOL)
+    return _min_ssq(h, r, lambda: _exact_supports(h.shape[1], r, guard), _ZERO_EIG_TOL,
+                    seeded=True)
 
 
 def ric(h, r: int, guard: int = MIN_SSQ_GUARD) -> tuple[float, tuple[int, ...]]:
     """Exact restricted isometry constant for sparsity level r, with a
     support attaining the worst deviation of H_A^T H_A eigenvalues from 1."""
     h = _checked_level(h, r)
-    return _ric(h, _support_chunks(_exact_supports(h.shape[1], r, guard), r))
+    return _ric(h, _exact_supports(h.shape[1], r, guard))
 
 
 def min_ssq_sampled(h, r: int, n_samples: int = SAMPLED_SUPPORTS, seed: int = 0
@@ -309,7 +384,7 @@ def exact_ml_bruteforce(op, y, r: int, guard: int = BRUTE_FORCE_GUARD) -> ParamE
         return ParamEstimate(np.zeros(m), float(y @ weighted_y) / n, 0)
     q, w = matrix.T @ dense.gram_solve(matrix), matrix.T @ weighted_y
     best_error, best_support, best_coeffs = np.inf, None, None
-    for idx in _support_chunks(combinations(range(m), r), r):
+    for idx in _support_chunks(m, r):
         blocks, rhs = _blocks(q, idx), w[idx]
         try:
             coeffs = np.linalg.solve(blocks, rhs[:, :, None])[:, :, 0]
@@ -374,7 +449,7 @@ def spark(h, guard: int = MIN_SSQ_GUARD) -> int:
         # (n k / 2 + k (k + 1) / 2 + 1 / 2) eps ||H||^2 >= screen minus
         # 2 n k eps ||H||^2, which the 4 n k eps ||H||^2 below covers.
         screen = (2.0 * tol) ** 2 + 4.0 * n * k * np.finfo(float).eps * norm ** 2
-        for idx in _support_chunks(combinations(range(m), k), k, first):
+        for idx in _support_chunks(m, k, first):
             yield from idx[~_cleared(gram, idx, screen)]
 
     def dependent(subsets) -> bool:
@@ -398,7 +473,7 @@ def spark(h, guard: int = MIN_SSQ_GUARD) -> int:
     for level in range(k, n):
         if dependent(uncleared(level)):
             return level
-    return n if dependent(chain([first], top)) else n + 1
+    return n if dependent([first]) or dependent(top) else n + 1
 
 
 def urp(h, guard: int = MIN_SSQ_GUARD) -> bool:

@@ -2,7 +2,8 @@
 
 import json
 import math
-from itertools import combinations
+import tracemalloc
+from itertools import chain, combinations, islice
 from unittest import mock
 
 import numpy as np
@@ -780,18 +781,100 @@ def test_kernel_chunk_boundaries(monkeypatch):
 def test_kernel_tie_and_stop_rules(monkeypatch):
     """Exact ties go to the first support even across chunks, and within a
     chunk the first support at or below the stop value wins, not the
-    chunk's minimum."""
+    chunk's minimum; both hold when a seed's score bounds the screen."""
     monkeypatch.setattr(matrix_analysis, "_CHUNK", 3)
 
     def best(diagonal, stop_at=-np.inf):
         return matrix_analysis._best_support(
             np.diag(diagonal),
-            matrix_analysis._support_chunks(combinations(range(len(diagonal)), 1), 1),
+            _reference_support_chunks(combinations(range(len(diagonal)), 1), 1),
             lambda eigs: eigs[:, 0], stop_at)
 
     assert best([0.3, 0.2, 0.5, 0.2, 0.2, 0.9]) == (0.2, (1,))
     assert best([0.5, 0.4, 0.3, 0.2, 1e-15, -1e-3, 0.1], 1e-14) == (1e-15, (4,))
     assert best([0.5, 0.4, 0.3, 0.2, 1e-15, -1e-3, 0.1]) == (-1e-3, (5,))
+
+    def seeded(diagonal, seed, stop_at=-np.inf):
+        form = np.diag(diagonal)
+        return matrix_analysis._best_support(
+            form, _reference_support_chunks(combinations(range(len(diagonal)), 1), 1),
+            lambda eigs: eigs[:, 0], stop_at,
+            lambda idx, shift: matrix_analysis._cleared(form, idx, shift), np.array([[seed]]))
+
+    # a later support scoring the seed's bound does not take the tie from the first
+    assert seeded([0.3, 0.2, 0.5, 0.2, 0.2, 0.9], 3) == (0.2, (1,))
+    # a seed below the first singular support screens at the stop value, so
+    # the search still stops at that support, not at the seed
+    assert seeded([0.5, 0.4, 0.3, 0.2, 1e-15, -1e-3, 0.1], 5, 1e-14) == (1e-15, (4,))
+    assert seeded([0.5, 0.4, 0.3, 0.2, 1e-15, -1e-3, 0.1], 5) == (-1e-3, (5,))
+
+
+def test_min_ssq_seed_below_the_first_singular_support_stops_there():
+    """Column 6 is zero and column 5 nearly so, both singular at the
+    tolerance: the seed takes column 6, the smaller, yet the search returns
+    column 5, the first singular support in stream order."""
+    H = np.random.default_rng(5).standard_normal((4, 8))
+    H[:, 6] = 0.0
+    H[:, 5] *= 1e-7
+    q = H.T @ DenseOperator(H).gram_solve(H)
+    assert q[6, 6] == 0.0 < 1e-15 < q[5, 5] <= matrix_analysis._ZERO_EIG_TOL
+    assert matrix_analysis._greedy_support(q, 1).tolist() == [[6]]
+    assert min_ssq(H, 1) == (0.0, (5,)) == _loop_min_ssq_exact(H, 1)
+
+
+def test_min_ssq_takes_a_small_level_in_one_chunk(monkeypatch):
+    """The seed bounds the screen from the first chunk, so the 66 supports of
+    an 8x12 Gaussian's level 2 take one ``_cleared`` call and two
+    ``eigvalsh`` calls: the seed's and the one chunk's."""
+    H = np.random.default_rng(9).standard_normal((8, 12))
+    cleared_calls, eigvalsh_calls = [], []
+    cleared, eigvalsh = matrix_analysis._cleared, np.linalg.eigvalsh
+
+    def counted_cleared(form, idx, shift):
+        cleared_calls.append(len(idx))
+        return cleared(form, idx, shift)
+
+    def counted_eigvalsh(a, *args, **kwargs):
+        eigvalsh_calls.append(len(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(matrix_analysis, "_cleared", counted_cleared)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    got = _bits(min_ssq, H, 2)
+    monkeypatch.undo()
+    assert cleared_calls == [math.comb(12, 2)]
+    assert len(eigvalsh_calls) <= 2
+    assert got == _bits(_reference_min_ssq, H, 2)
+
+
+@pytest.mark.parametrize("chunk", [matrix_analysis._CHUNK, 3])
+def test_support_stream_is_the_lexicographic_combinations(monkeypatch, chunk):
+    """Row for row and chunk for chunk, the stream is ``combinations`` grouped
+    as the reference chunker groups it."""
+    monkeypatch.setattr(matrix_analysis, "_CHUNK", chunk)
+    for m in range(1, 14):
+        for r in range(1, m + 1):
+            for first in (None, 1, 3):
+                got = list(matrix_analysis._support_chunks(m, r, first))
+                expected = _reference_support_chunks(combinations(range(m), r), r, first)
+                assert [c.tolist() for c in got] == [c.tolist() for c in expected], (m, r, first)
+                assert all(c.dtype == np.intp for c in got)
+
+
+def test_support_stream_holds_no_whole_level():
+    """The first chunk of the C(60, 5) = 5,461,512 supports comes from the
+    C(59, 4) = 455,126-row table of tails, not from a 218 MB table of the
+    level."""
+    level_bytes = math.comb(60, 5) * 5 * np.dtype(np.intp).itemsize
+    tracemalloc.start()
+    try:
+        first = next(matrix_analysis._support_chunks(60, 5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first.tolist() == [list(c) for c in islice(combinations(range(60), 5), len(first))]
+    assert len(first) == matrix_analysis._CHUNK
+    assert peak < level_bytes / 4
 
 
 # ------------------------------- one body per measure against the earlier four
@@ -800,6 +883,19 @@ def test_kernel_tie_and_stop_rules(monkeypatch):
 # were before exact and sampled modes shared one body each, kept as
 # references that the refactor must match bit for bit: values, supports,
 # exception types and messages, and the certificate's JSON text.
+
+def _reference_support_chunks(supports, r, first=None):
+    """The library's support stream before it was built in numpy: an
+    iterable of size-r supports as (<= _CHUNK, r) index arrays, ``_CHUNK``
+    rows each, or ``first`` rows and then twice as many each time."""
+    supports, size = iter(supports), first or matrix_analysis._CHUNK
+    while True:
+        flat = np.fromiter(chain.from_iterable(islice(supports, size)), dtype=np.intp)
+        if flat.size == 0:
+            return
+        yield flat.reshape(-1, r)
+        size = min(2 * size, matrix_analysis._CHUNK)
+
 
 def _reference_check_guard(m, r, guard):
     if math.comb(m, r) > guard:
@@ -831,7 +927,7 @@ def _reference_min_ssq(h, r, guard=MIN_SSQ_GUARD):
     _reference_check_guard(m, r, guard)
     best, best_support = matrix_analysis._best_support(
         _reference_projection_form(h),
-        matrix_analysis._support_chunks(combinations(range(m), r), r),
+        _reference_support_chunks(combinations(range(m), r), r),
         _reference_smallest_eig, matrix_analysis._ZERO_EIG_TOL)
     if best <= matrix_analysis._ZERO_EIG_TOL:
         best = 0.0
@@ -845,7 +941,7 @@ def _reference_ric(h, r, guard=MIN_SSQ_GUARD):
         raise InputError(f"sparsity level r={r} outside [1, {m}]")
     _reference_check_guard(m, r, guard)
     worst, worst_support = matrix_analysis._best_support(
-        h.T @ h, matrix_analysis._support_chunks(combinations(range(m), r), r),
+        h.T @ h, _reference_support_chunks(combinations(range(m), r), r),
         _reference_negative_isometry_deviation)
     return -worst, worst_support
 
