@@ -15,10 +15,12 @@ Q = H^T (H H^T)^{-1} H is formed from ``DenseOperator.gram_solve``, the
 library's one gram weighting; for rows that operator detects as orthonormal
 (max |H H^T - I| <= 1e-10) it is H^T H exactly.  Six searches share one
 gather, ``_blocks``, of the r x r principal blocks at a chunk of ``_CHUNK``
-supports from an m x m form formed once, Q or G = H^T H, so memory beyond
-the form is bounded per chunk.  One screen, ``_cleared``, proves a chunk's
-blocks less a shift positive definite by a batched LDL^T elimination of
-their lower triangles.  Min-SSQ drops the supports it clears at the running
+supports from an m x m form formed once, Q or G = H^T H.  Beyond the form,
+an exact search holds one chunk and the C(m - 1, r - 1) x r table of tails
+its stream unranks from: 31 MB at r = 11 of m = 22, 54 MB while it is
+built.  One screen, ``_cleared``, proves a chunk's blocks less a shift
+positive definite by a batched LDL^T elimination of their lower
+triangles.  Min-SSQ drops the supports it clears at the running
 minimum plus a rounding margin, and takes the rest's eigenvalues in one
 ``eigvalsh`` call, so its value and support are those of the full search;
 exact min-SSQ screens from its first chunk at the lambda_min of one support
@@ -126,25 +128,18 @@ def _lex_rows(n: int, k: int, tails: np.ndarray, lo: int, hi: int) -> np.ndarray
     return out
 
 
-def _support_chunks(m: int, r: int, first: int | None = None):
+def _support_chunks(m: int, r: int):
     """The size-r subsets of range(m) in lexicographic order, as (<= _CHUNK, r)
-    index arrays: ``_CHUNK`` rows each, or ``first`` rows and then twice as
-    many each time, up to ``_CHUNK``.  Chunks are cut from windows of
-    ``_CHUNK`` rows unranked by ``_lex_rows`` from the table of
-    (r-1)-subsets of range(m - 1), so the stream holds C(m - 1, r - 1) rows
-    and one window, never a whole C(m, r) table."""
+    index arrays: windows of ``_CHUNK`` rows unranked by ``_lex_rows`` from
+    the table of (r-1)-subsets of range(m - 1), so the stream holds
+    C(m - 1, r - 1) rows and one window, never a whole C(m, r) table."""
     tails = np.zeros((1, r), dtype=np.intp)
     for k in range(1, r):
         tails = _lex_rows(m - r + k, k, tails, 0, math.comb(m - r + k, k))
         tails += 1
-    total, lo, size = math.comb(m, r), 0, first or _CHUNK
-    start, window = 0, tails[:0]
-    while lo < total:
-        hi = min(lo + size, total)
-        if hi > start + len(window):
-            start, window = lo, _lex_rows(m, r, tails, lo, min(lo + _CHUNK, total))
-        yield window[lo - start:hi - start]
-        lo, size = hi, min(2 * size, _CHUNK)
+    total = math.comb(m, r)
+    for lo in range(0, total, _CHUNK):
+        yield _lex_rows(m, r, tails, lo, min(lo + _CHUNK, total))
 
 
 def _sampled_supports(m: int, r: int, n_samples: int, seed: int):
@@ -418,10 +413,11 @@ def spark(h, guard: int = MIN_SSQ_GUARD) -> int:
     sigma_min(H_S) >= sigma_min(H_T) > 2 tol, so the search from below
     would pass S too.  Otherwise the search from below goes on, and at
     level N resumes at the first subset the screen left uncleared, so no
-    N-subset is screened twice.  Level N is screened in chunks that double
-    from one subset, so a matrix of spark <= N ends that screen soon after
-    its first uncleared N-subset.  The matrix must have at least as many
-    columns as rows.
+    N-subset is screened twice.  Level N is screened in whole chunks, like
+    every level.  The budget keeps the level-N stream, and its table of
+    C(m - 1, N - 1) tails, unbuilt when a small spark turns up below: without
+    it a 10x20 Gaussian of spark 2 took 23 times as long.  The matrix must
+    have at least as many columns as rows.
     """
     h = _as_matrix(h)
     n, m = h.shape
@@ -437,7 +433,7 @@ def spark(h, guard: int = MIN_SSQ_GUARD) -> int:
     tol = 1e-10 * norm
     gram = h.T @ h
 
-    def uncleared(k: int, first: int | None = None):
+    def uncleared(k: int):
         """The size-k subsets, in order, that the screen cannot clear."""
         # Margin: forming G rounds entry (i, j) by <= gamma_n |h_i| |h_j|, with
         # gamma_n ~ n eps / 2, so ||G^_S - G_S||_2 <= gamma_n ||H_S||_F^2 <=
@@ -449,7 +445,7 @@ def spark(h, guard: int = MIN_SSQ_GUARD) -> int:
         # (n k / 2 + k (k + 1) / 2 + 1 / 2) eps ||H||^2 >= screen minus
         # 2 n k eps ||H||^2, which the 4 n k eps ||H||^2 below covers.
         screen = (2.0 * tol) ** 2 + 4.0 * n * k * np.finfo(float).eps * norm ** 2
-        for idx in _support_chunks(m, k, first):
+        for idx in _support_chunks(m, k):
             yield from idx[~_cleared(gram, idx, screen)]
 
     def dependent(subsets) -> bool:
@@ -466,7 +462,7 @@ def spark(h, guard: int = MIN_SSQ_GUARD) -> int:
             return k
         tested += math.comb(m, k)
         k += 1
-    top = uncleared(n, 1)
+    top = uncleared(n)
     first = next(top, None)
     if first is None:
         return n + 1

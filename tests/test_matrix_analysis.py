@@ -281,14 +281,13 @@ def test_spark_proves_full_spark_from_the_top_level(monkeypatch):
 
 def test_spark_searches_below_the_top_within_the_budget(monkeypatch):
     """A partial DCT of spark 5 <= N = 6: the levels screened before the top
-    hold at most C(12, 6) subsets, the top-level screen stops before the end
-    of its level, and the search from below then finds 5."""
+    hold at most C(12, 6) subsets, the top level is screened in one whole
+    chunk, and the search from below then finds 5."""
     screened, _ = _screened_subsets(monkeypatch)
     H = partial_dct_matrix(12, [0, 1, 2, 3, 6, 9])
     assert spark(H) == 5 == _loop_spark(H)
-    assert [k for k, _ in screened] == [1, 2, 3, 4, 6, 5]
+    assert screened == [(1, 12), (2, 66), (3, 220), (4, 495), (6, 924), (5, 792)]
     assert sum(count for _, count in screened[:4]) <= math.comb(12, 6)
-    assert screened[4][1] < math.comb(12, 6)
 
 
 def test_spark_resumes_the_top_level_where_its_screen_stopped(monkeypatch):
@@ -303,6 +302,43 @@ def test_spark_resumes_the_top_level_where_its_screen_stopped(monkeypatch):
     assert spark(H) == 8 == _loop_spark(H)
     assert [k for k, _ in screened][:8] == [1, 2, 3, 8, 4, 5, 6, 7]
     assert sum(count for k, count in screened if k == 8) <= math.comb(12, 8)
+
+
+def test_spark_budget_keeps_the_top_level_stream_unbuilt(monkeypatch):
+    """Column 0 of a 10x20 Gaussian is a multiple of column 1, so the spark
+    is 2.  Levels 1 and 2 fit the budget of C(20, 10), so the search from
+    below finds 2 before the level-10 stream, and its table of C(19, 9)
+    tails, is ever built."""
+    rng = np.random.default_rng(30)
+    H = rng.standard_normal((10, 20))
+    H[:, 0] = -3.0 * H[:, 1]
+    screened, _ = _screened_subsets(monkeypatch)
+    levels, support_chunks = [], matrix_analysis._support_chunks
+
+    def recorded_support_chunks(m, r):
+        levels.append(r)
+        return support_chunks(m, r)
+
+    monkeypatch.setattr(matrix_analysis, "_support_chunks", recorded_support_chunks)
+    assert spark(H) == 2
+    monkeypatch.undo()
+    assert _loop_spark(H) == 2
+    assert screened == [(1, 20), (2, 190)]
+    assert 10 not in levels
+
+
+@pytest.mark.parametrize("size", [5, 6, 7])
+@pytest.mark.parametrize("chunk", [3, 7])
+def test_spark_resumes_a_late_top_level_subset_across_chunks(size, chunk):
+    """The last ``size`` columns of a 7x11 Gaussian are dependent, so the
+    first 7-subset the top-level screen leaves uncleared lies chunks past
+    the first.  The search from below still finds the QR rule's spark: at
+    level 5 or 6, or at level 7, where it resumes at that subset."""
+    rng = np.random.default_rng(size)
+    H = rng.standard_normal((7, 11))
+    H[:, -1] = H[:, -size:-1] @ rng.standard_normal(size - 1)
+    with mock.patch.object(matrix_analysis, "_CHUNK", chunk):
+        assert spark(H) == _loop_spark(H) == size
 
 
 # ---------------------------------------------------- the positive-pivot screen
@@ -681,6 +717,19 @@ def test_spark_top_level_fallback_matches_qr_oracle_at_any_scale(h, log_scale):
     assert spark(h) == _loop_spark(h) in (h.shape[0], h.shape[0] + 1)
 
 
+@settings(max_examples=100, deadline=None)
+@given(h=_sensing_matrices(kinds=("near-top",)), log_scale=st.floats(-8.0, 8.0))
+def test_spark_resumes_the_top_level_across_chunk_boundaries(h, log_scale):
+    """With chunks of 3 or 7 subsets, the first N-subset the top-level screen
+    leaves uncleared often lies past the first chunk; the search from below
+    resumes there and agrees with the QR rule."""
+    h = h * 10.0 ** log_scale
+    expected = _loop_spark(h)
+    for chunk in (3, 7):
+        with mock.patch.object(matrix_analysis, "_CHUNK", chunk):
+            assert spark(h) == expected
+
+
 def _two_pass_certify(h, r_max, guard=MIN_SSQ_GUARD):
     """The earlier ``certify``, kept as an oracle: min-SSQ and RIC per level,
     then a second pass that fills the 2r levels through a cache."""
@@ -854,11 +903,10 @@ def test_support_stream_is_the_lexicographic_combinations(monkeypatch, chunk):
     monkeypatch.setattr(matrix_analysis, "_CHUNK", chunk)
     for m in range(1, 14):
         for r in range(1, m + 1):
-            for first in (None, 1, 3):
-                got = list(matrix_analysis._support_chunks(m, r, first))
-                expected = _reference_support_chunks(combinations(range(m), r), r, first)
-                assert [c.tolist() for c in got] == [c.tolist() for c in expected], (m, r, first)
-                assert all(c.dtype == np.intp for c in got)
+            got = list(matrix_analysis._support_chunks(m, r))
+            expected = _reference_support_chunks(combinations(range(m), r), r)
+            assert [c.tolist() for c in got] == [c.tolist() for c in expected], (m, r)
+            assert all(c.dtype == np.intp for c in got)
 
 
 def test_support_stream_holds_no_whole_level():
@@ -884,17 +932,17 @@ def test_support_stream_holds_no_whole_level():
 # references that the refactor must match bit for bit: values, supports,
 # exception types and messages, and the certificate's JSON text.
 
-def _reference_support_chunks(supports, r, first=None):
+def _reference_support_chunks(supports, r):
     """The library's support stream before it was built in numpy: an
-    iterable of size-r supports as (<= _CHUNK, r) index arrays, ``_CHUNK``
-    rows each, or ``first`` rows and then twice as many each time."""
-    supports, size = iter(supports), first or matrix_analysis._CHUNK
+    iterable of size-r supports as (<= _CHUNK, r) index arrays of
+    ``_CHUNK`` rows each."""
+    supports = iter(supports)
     while True:
-        flat = np.fromiter(chain.from_iterable(islice(supports, size)), dtype=np.intp)
+        flat = np.fromiter(chain.from_iterable(islice(supports, matrix_analysis._CHUNK)),
+                           dtype=np.intp)
         if flat.size == 0:
             return
         yield flat.reshape(-1, r)
-        size = min(2 * size, matrix_analysis._CHUNK)
 
 
 def _reference_check_guard(m, r, guard):
