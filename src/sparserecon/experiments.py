@@ -14,6 +14,7 @@ at each density; output is deterministic (timings aside).
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import asdict, dataclass, fields
@@ -170,12 +171,26 @@ def random_instance(m: int, n_rows: int, r_true: int, noise_sigma: float,
     )
 
 
+@functools.lru_cache(maxsize=1)
+def _phantom_coefficients(side: int) -> np.ndarray:
+    """Read-only full-depth Haar coefficients of the side x side phantom."""
+    coeffs = HaarBasis(side).analyze(phantom(side).ravel())
+    coeffs.flags.writeable = False
+    return coeffs
+
+
 def phantom_problem(side: int, n_lines: int) -> ProblemInstance:
     """Noiseless tomographic problem: full-depth Haar coefficients of the
     phantom measured through the radial-line partial DFT.  The composed
-    operator has orthonormal rows by construction."""
+    operator has orthonormal rows by construction.
+
+    ``truth`` is a fresh copy of the coefficients of the last side asked
+    for, kept in a one-entry cache, so a sweep over line counts at one side
+    analyses the phantom once.  One entry bounds the memory to one image;
+    a sweep that moves from one side to another analyses the new side
+    again, as an uncached sweep would."""
     basis = HaarBasis(side)
-    truth = basis.analyze(phantom(side).ravel())
+    truth = _phantom_coefficients(basis.side).copy()
     sampler = PartialDft2Operator(radial_mask(side, n_lines))
     op = ComposedOperator(sampler, basis)
     return ProblemInstance(

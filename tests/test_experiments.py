@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from sparserecon import (
     BenchConfig,
+    ComposedOperator,
     ExperimentReport,
     HaarBasis,
     InputError,
@@ -31,6 +32,7 @@ from sparserecon import (
 from sparserecon.experiments import (
     CSV_HEADER,
     KNOWN_METHODS,
+    _phantom_coefficients,
     phantom_problem,
     report_csv_row,
     run_method,
@@ -206,6 +208,25 @@ def test_phantom_problem_composition():
     # measurements really are the operator applied to the truth
     assert np.allclose(problem.y, problem.operator.apply(problem.truth),
                        atol=1e-12)
+
+
+def test_phantom_problem_cache_gives_uncached_bytes_and_fresh_truth():
+    """Sides 32, 64 and 32 again: the one-entry cache holds 64 when 32
+    returns, and every problem equals an uncached build byte for byte."""
+    n_lines = 12
+    for side in (32, 64, 32):
+        basis = HaarBasis(side)
+        truth = basis.analyze(phantom(side).ravel())
+        op = ComposedOperator(PartialDft2Operator(radial_mask(side, n_lines)), basis)
+        problem = phantom_problem(side, n_lines)
+        assert problem.truth.tobytes() == truth.tobytes()
+        assert problem.y.tobytes() == op.apply(truth).tobytes()
+        assert problem.truth_support_size == np.count_nonzero(truth)
+        assert problem.truth.flags.writeable
+        assert not _phantom_coefficients(side).flags.writeable
+        problem.truth[:] = -1.0
+        assert phantom_problem(side, n_lines).truth.tobytes() == truth.tobytes()
+        assert _phantom_coefficients(side).tobytes() == truth.tobytes()
 
 
 @pytest.mark.parametrize("solver, iterations", [(iht_run, 504), (dore_run, 154)],

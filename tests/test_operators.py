@@ -17,7 +17,22 @@ from sparserecon import (
     PartialDft2Operator,
     partial_dct_matrix,
 )
-from sparserecon.operators import _probe_rows_orthonormal
+
+
+def _round_trip_orthonormal(op) -> bool:
+    """H H^T = I by one block round trip, H (H^T P) against P.
+
+    P is the identity for N <= 64 (every column of H H^T) and five seeded
+    normal columns otherwise; each column is held to 1e-10 of its largest
+    entry, or of 1 when that is larger."""
+    n = op.n_rows
+    if n <= 64:
+        probes = np.eye(n)
+    else:
+        probes = np.random.default_rng(0).standard_normal((5, n)).T
+    err = np.max(np.abs(op.apply(op.apply_adjoint(probes)) - probes), axis=0)
+    bound = 1e-10 * np.maximum(1.0, np.max(np.abs(probes), axis=0))
+    return not np.any(err > bound)
 
 
 def test_identity_apply_adjoint():
@@ -262,6 +277,8 @@ def test_adjoint_identity_property(kind, data, seed):
     w = rng.standard_normal(op.n_rows)
     lhs, rhs = float(op.apply(v) @ w), float(v @ op.apply_adjoint(w))
     assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs), abs(rhs))
+    if kind in ("dct", "dft2_haar"):  # rows declared orthonormal, never probed
+        assert op.rows_orthonormal and _round_trip_orthonormal(op)
 
 
 def _sparse_block(rng, data, rows, k):
@@ -356,10 +373,10 @@ def test_rows_orthonormal_flag_matches_probe():
     rng = np.random.default_rng(4)
     dense = DenseOperator(rng.standard_normal((6, 12)))
     assert not dense.rows_orthonormal
-    assert not _probe_rows_orthonormal(dense)
+    assert not _round_trip_orthonormal(dense)
     ortho = DenseOperator(np.linalg.qr(rng.standard_normal((12, 6)))[0].T)
     assert ortho.rows_orthonormal
-    assert _probe_rows_orthonormal(ortho)
+    assert _round_trip_orthonormal(ortho)
 
 
 # ---------------------------------------------------------------- partial DCT
@@ -540,6 +557,7 @@ def test_dft2_pairing_matches_oracle_and_is_adjoint(side, density, seed):
     lhs, rhs = float(op.apply(v) @ w), float(v @ op.apply_adjoint(w))
     assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs), abs(rhs))
     assert np.abs(op.apply(op.apply_adjoint(w)) - w).max() <= 1e-10
+    assert _round_trip_orthonormal(op)
 
 
 def _complex_dft2(mask, v, w):
@@ -651,7 +669,7 @@ def test_dft2_self_conjugate_rows():
     mask[0, 0] = mask[2, 2] = True  # both self-conjugate on an even grid
     op = PartialDft2Operator(mask)
     assert op.n_rows == 2
-    assert _probe_rows_orthonormal(op)
+    assert _round_trip_orthonormal(op)
 
 
 def test_dft2_empty_mask_rejected():
