@@ -26,6 +26,7 @@ from .errors import InputError, SizeGuardError, _count
 from .experiments import (
     CSV_HEADER,
     KNOWN_METHODS,
+    BenchConfig,
     benchmark_sweep,
     parse_bench_config,
     phantom_problem,
@@ -173,7 +174,7 @@ def _cmd_phantom(args) -> int:
         raise InputError(f"resolution applies to adore only, not to {args.method}")
     problem = phantom_problem(args.side, args.lines)
     r = args.r if args.r is not None else problem.truth_support_size
-    resolution = 64 if args.resolution is None else args.resolution
+    resolution = BenchConfig.adore_resolution if args.resolution is None else args.resolution
     stop = StoppingRule(tol=args.tol, max_iter=args.max_iter)
     op = problem.operator
     run = run_method(args.method, op, problem.y, r, stop, resolution)

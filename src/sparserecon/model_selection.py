@@ -83,14 +83,11 @@ class UssScorer:
             raise InputError(f"sigma2_est must be nonnegative, got {sigma2_est}")
         r = _count(r, "sparsity level r", 0, self.n_cols)
         growth = self.n_rows - r - 2
-        if sigma2_est <= self.zero_cutoff:
-            value = (-0.5 * r * math.log(self.n_rows / self.n_cols) if growth == 0
-                     else math.copysign(math.inf, growth))
-        else:
-            value = (
-                -0.5 * r * math.log(self.n_rows / self.n_cols)
-                - 0.5 * growth * math.log(sigma2_est / self.baseline)
-            )
+        value = -0.5 * r * math.log(self.n_rows / self.n_cols)
+        if sigma2_est > self.zero_cutoff:
+            value -= 0.5 * growth * math.log(sigma2_est / self.baseline)
+        elif growth:
+            value = math.copysign(math.inf, growth)
         return UssEvaluation(r=r, sigma2_est=float(sigma2_est),
                              uss_value=value, growth_rate=growth)
 
@@ -101,8 +98,11 @@ def golden_section_r_search(evaluator, r_max: int, resolution: int = 1) -> int:
     Interior probes sit at b - floor(0.618 (b - a)) and a + floor(0.618
     (b - a)); the surviving probe is reused each shrink so one new
     evaluation is paid per step, and every evaluation is cached so no r is
-    scored twice.  The bracket stops shrinking once it is shorter than
-    ``resolution``; brackets of width <= 2 are swept exhaustively.  Returns
+    scored twice.  A new probe is clamped to keep low < high inside
+    [a, b]: a new high to [low + 1, b], a new low to [a, high - 1], and the
+    first pair's high to [low + 1, b].  The bracket stops shrinking once it
+    is shorter than ``resolution``, or when the clamp leaves no room
+    (low = high); brackets of width <= 2 are swept exhaustively.  Returns
     the probed r with the largest value (ties to the smallest r).  Exact
     for unimodal evaluators at resolution 1.
 
@@ -120,29 +120,16 @@ def golden_section_r_search(evaluator, r_max: int, resolution: int = 1) -> int:
         return cache[r]
 
     a, b = 0, r_max
-    gap = math.floor(GOLDEN * (b - a))
-    low, high = b - gap, a + gap
-    if low > high:
-        low, high = high, low
-    if low == high:
-        high = min(low + 1, b)
-    while b - a >= max(resolution, 3):
+    gap = math.floor(GOLDEN * b)
+    low, high = sorted((b - gap, gap))
+    high = min(max(high, low + 1), b)
+    while low < high and b - a >= max(resolution, 3):
         if scored(low) < scored(high):
-            a = low
-            low = high
-            high = a + math.floor(GOLDEN * (b - a))
-            if high <= low:
-                high = min(low + 1, b)
-            if high == low:
-                break
+            a, low = low, high
+            high = min(max(a + math.floor(GOLDEN * (b - a)), low + 1), b)
         else:
-            b = high
-            high = low
-            low = b - math.floor(GOLDEN * (b - a))
-            if low >= high:
-                low = max(high - 1, a)
-            if low == high:
-                break
+            b, high = high, low
+            low = max(min(b - math.floor(GOLDEN * (b - a)), high - 1), a)
     if b - a <= 2:
         for r in range(a, b + 1):
             scored(r)

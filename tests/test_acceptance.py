@@ -2,10 +2,12 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines as they complete.  Tolerances are pinned here and nowhere else.
-Beside criteria 3 and 4, two property tests carry their claims from the
-golden matrix to drawn ones, at every level the certificate guarantees;
-beside criterion 7, one carries row-transform invariance from the single
-step to the solvers' supports, iteration counts and ADORE's selection.
+Beside criteria 3 and 4, three property tests carry their claims from the
+golden matrix to drawn ones, at every level the certificate guarantees,
+the third to approximately sparse signals; beside criterion 7, one carries
+row-transform invariance from the single step to the solvers' supports,
+iteration counts and ADORE's selection; beside criterion 8, one carries
+the USS oracle's selection to URP matrices drawn by hypothesis.
 """
 
 import math
@@ -14,7 +16,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from sparserecon import (
     BenchConfig,
@@ -215,6 +217,34 @@ def test_certified_levels_obey_the_noisy_error_bound(draw, seed):
                 assert err <= bound, (r, runner.__name__, err, bound)
 
 
+@settings(max_examples=60, deadline=None)
+@given(draw=_matrix_draws(), seed=st.integers(0, 2**32 - 1))
+@example(draw=("dct", 12, 11, 0), seed=0)
+@example(draw=("gaussian", 10, 9, 4), seed=0)
+def test_certified_levels_recover_approximately_sparse_signals(draw, seed):
+    """The abstract's near-optimal recovery of approximately sparse signals:
+    s is an r-sparse head plus a tail off its support, and y = H s_r +
+    H (s - s_r) with s_r the best r-term approximation of s, so criterion
+    4's bound holds with the tail's image as the noise."""
+    op, levels = _certified_levels(*draw)
+    rng = np.random.default_rng(seed)
+    stop = StoppingRule(tol=1e-20, max_iter=4000)
+    for r, rho in levels:
+        denom = math.sqrt(rho) - math.sqrt(1.0 - rho)
+        for _ in range(4):
+            head = _sparse_signal(rng, op.n_cols, r)
+            tail = np.where(head == 0.0, rng.standard_normal(op.n_cols), 0.0)
+            scale = 10.0 ** rng.uniform(-4.0, 0.3) * np.abs(head[head != 0.0]).min()
+            s = head + tail * (scale / np.abs(tail).max())
+            s_r = hard_threshold(s, r)
+            tail_image = op.apply_adjoint(op.gram_solve(op.apply(s - s_r)))
+            bound = 2.0 * np.linalg.norm(tail_image) / denom
+            for runner in (ecme_run, dore_run):
+                res = runner(op, op.apply(s), r, stop=stop)
+                err = float(np.linalg.norm(res.estimate.s - s_r))
+                assert err <= bound, (r, runner.__name__, err, bound)
+
+
 def test_criterion_05_monotonicity_and_stationarity():
     with criterion(5, "500-problem monotone traces + stationary fixed points"):
         rng = np.random.default_rng(5150)
@@ -387,6 +417,30 @@ def test_criterion_08_uss_oracle_equivalence():
             assert all(keys[r] < keys[r_true] for r in keys if r != r_true)
             assert np.linalg.norm(ml_at_true.s - truth) <= 1e-8
         assert time.perf_counter() - start < 300.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_uss_oracle_selects_the_sparsest_level_on_urp_draws(data, seed):
+    """Criterion 8's three claims on URP matrices drawn by hypothesis."""
+    r_true = data.draw(st.integers(1, 3), label="r_true")
+    n_min = max(2 * r_true, r_true + 3)
+    m = data.draw(st.integers(max(6, n_min + 1), 14), label="m")
+    n = data.draw(st.integers(n_min, m - 1), label="N")
+    rng = np.random.default_rng(seed)
+    H = rng.standard_normal((n, m))
+    assume(urp(H))
+    op = DenseOperator(H)
+    truth = _sparse_signal(rng, m, r_true)
+    y = op.apply(truth)
+    scorer = UssScorer(op, y)
+    keys, estimates = {}, {}
+    for r in range(math.ceil(n / 2) + 1):
+        estimates[r] = exact_ml_bruteforce(op, y, r)
+        keys[r] = scorer.evaluate(r, estimates[r].sigma2).sort_key
+    assert max(keys, key=keys.get) == r_true, keys
+    assert all(keys[r] < keys[r_true] for r in keys if r != r_true), keys
+    assert np.linalg.norm(estimates[r_true].s - truth) <= 1e-8
 
 
 def test_criterion_09_line_search_optimality():

@@ -263,6 +263,19 @@ def test_analyze_exact(tmp_path, toy_files, capsys):
     assert cert["guarantees"][0]["recovery_guaranteed"] is False
 
 
+def test_analyze_spark_over_guard_prints_lower_bound(tmp_path, capsys):
+    """The spark search would enumerate 847 subsets, past a guard of 300 that
+    the min-SSQ and RIC levels (at most 45 supports) stay under: the
+    certificate reports spark's exact lower bound in place of its value."""
+    matrix_path, out = tmp_path / "H.csv", tmp_path / "c.json"
+    save_matrix_csv(matrix_path, np.random.default_rng(5).standard_normal((6, 10)))
+    assert main(["analyze", "--matrix", str(matrix_path), "--r-max", "1",
+                 "--guard", "300", "--out", str(out)]) == 0
+    assert "spark >= 3 (exact search over guard)" in capsys.readouterr().out
+    cert = json.loads(out.read_text())
+    assert (cert["spark"], cert["urp"], cert["spark_min"]) == (None, None, 3)
+
+
 def test_analyze_has_no_exact_flag(toy_files, capsys):
     """Exact mode is the default; --sampled alone selects the other mode."""
     matrix_path, _ = toy_files

@@ -442,11 +442,15 @@ def _search_trace(search, keys, r_max, resolution):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_golden_section_keeps_every_probe_sequence(data):
-    # arbitrary integer keys: ties and non-unimodal shapes included
+    # arbitrary integer keys: ties and non-unimodal shapes included; or the
+    # same shapes as USS (value, growth) keys, N = 2 r_max, with +/-3 as +/-inf
     r_max = data.draw(st.integers(2, 300), label="r_max")
     resolution = data.draw(st.integers(1, r_max - 1), label="resolution")
     keys = data.draw(st.lists(st.integers(-3, 3), min_size=r_max + 1,
                               max_size=r_max + 1), label="keys")
+    if data.draw(st.booleans(), label="uss keys"):
+        keys = [(math.copysign(math.inf, k) if abs(k) == 3 else float(k), 2 * r_max - r - 2)
+                for r, k in enumerate(keys)]
     assert _search_trace(golden_section_r_search, keys, r_max, resolution) == \
         _search_trace(_reference_golden_section_r_search, keys, r_max, resolution)
 
