@@ -341,20 +341,24 @@ def _step_ssq(run, op, y, r, k):
 
 def _assert_same_outcome(run, problems, r):
     """Equal supports and convergence flags, and equal iteration counts
-    unless the counts differ by one at a step whose stopping quantity lies
-    within a factor 2 of tol on both sides, where the stopping test decides
-    the count by rounding (about 1 draw in 1,000, always a DORE run; the
-    stopping rule is ROADMAP item 2)."""
+    unless the stopping test decides one count by rounding: the side that
+    stops first, at k, does so at a step whose stopping quantity lies within
+    a factor 2 of tol on both sides, and, continued past k, it stops where
+    the other side did (about 1 draw in 1,000, always a DORE run; DORE's
+    steps are not monotone, so the counts can then differ by more than one;
+    the stopping rule is ROADMAP item 2)."""
     (op, y), (op_t, y_t) = problems
     res, res_t = run(op, y, r), run(op_t, y_t, r)
     assert np.array_equal(support(res.estimate.s), support(res_t.estimate.s))
     assert res.converged == res_t.converged
     if res.iterations != res_t.iterations:
-        k = min(res.iterations, res_t.iterations)
-        assert abs(res.iterations - res_t.iterations) == 1, run.__name__
+        k, k_last = sorted((res.iterations, res_t.iterations))
         tol = StoppingRule().tol
         for o, yy in problems:
             assert tol / 2 <= _step_ssq(run, o, yy, r, k) <= 2 * tol, run.__name__
+        first = problems[0] if res.iterations == k else problems[1]
+        later = [_step_ssq(run, *first, r, j) for j in range(k + 1, k_last + 1)]
+        assert all(q >= tol for q in later[:-1]) and later[-1] < tol, run.__name__
 
 
 @settings(max_examples=60, deadline=None)
@@ -363,6 +367,11 @@ def _assert_same_outcome(run, problems, r):
 # dore_run stops after 14 updates on one side and 13 on the other: the
 # stopping quantity after update 13 is 1.001e-14 and 9.4e-15
 @example(m=26, rows=0.5744298129076433, r=4, noisy=True, seed=4113023846)
+# ADORE selects level 4 and dore_run there stops after 17 updates on one
+# side and 19 on the other: the stopping quantities after updates 17-19 are
+# 9.98e-15, 1.68e-14, 1.3e-15 on the first side and 1.002e-14, 1.66e-14,
+# 1.2e-15 on the second
+@example(m=21, rows=0.375, r=3, noisy=True, seed=219)
 def test_row_transform_keeps_solver_outcomes(m, rows, r, noisy, seed):
     """Criterion 7 on the solvers as they run, under the default stopping
     rule: for y' = A y and H' = A H with A = Q1 diag(sigma) Q2 and sigma in
